@@ -2,7 +2,7 @@
 
 A production SDI router gains and loses subscribers *while the feed is
 flowing*.  This benchmark measures what that churn costs on a standing
-index served by the lazy-DFA backend: ``add_subscription`` merges new NFA
+index served by the lazy DFA: ``add_subscription`` merges new NFA
 fragments into the shared automaton and drops only the cached transitions
 whose NFA-state sets intersect the touched fragments (a *targeted*
 invalidation), ``remove_subscription`` retires the subscription's ordinal

@@ -9,7 +9,7 @@ crossing the subscriber boundary, alongside the engine's events/sec.
 The workload is ``extraction_workload`` subscriptions (bounded leaf-ish
 subtrees plus whole inner sections, so extracted regions nest and overlap
 across subscribers and share one tee buffer) over a large
-``tagged_sections_document``, matched on the warm DFA backend at
+``tagged_sections_document``, matched on the warm lazy DFA at
 N ∈ {100, 1000} — the shape of a content router serving a document feed.
 
 Three passes are timed per scale:
@@ -58,7 +58,7 @@ def _build_index(count):
         index.add(query, key=position)
     # Compile outside the timed region and warm the DFA transition table:
     # the steady state of a broker serving a feed.
-    index.matcher(backend="dfa").process(EVENTS)
+    index.matcher().process(EVENTS)
     return index
 
 
@@ -67,8 +67,7 @@ def _timed_run(index, delivery_factory):
     best = float("inf")
     result = matcher = None
     for _ in range(REPEATS):
-        candidate = index.matcher(backend="dfa",
-                                  delivery=delivery_factory())
+        candidate = index.matcher(delivery=delivery_factory())
         start = time.perf_counter()
         outcome = candidate.process(EVENTS)
         elapsed = time.perf_counter() - start

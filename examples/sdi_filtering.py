@@ -10,16 +10,16 @@ written naturally often use reverse axes; this example
    reverse axes),
 2. compiles them into a shared :class:`repro.SubscriptionIndex` — reverse
    axes are removed once per distinct subscription text (memoized by the
-   compiled-query cache) and common leading steps are merged into one prefix
-   trie,
+   compiled-query cache) and the structural spines are merged into one
+   shared lazy automaton,
 3. serves a feed of documents through a :class:`repro.DocumentBroker`: each
    document arrives as raw XML text in small *chunks* (as it would from a
    network socket), is tokenized incrementally, and is matched in a single
    streaming pass for *all* subscribers at once over one reused engine
    session, and
 4. prints the routing table and the broker's aggregate accounting, then
-   contrasts the shared engine's per-event work with one independent matcher
-   per subscription.
+   the shared automaton's per-document work and how much of it a warm
+   transition table answers.
 
 Run with::
 
@@ -37,7 +37,6 @@ from repro import (  # noqa: E402
     compile_cache_info,
     document_events,
     journal_document,
-    stream_evaluate,
     to_string,
     to_xml,
 )
@@ -109,51 +108,29 @@ def main() -> None:
           f"(+{totals.events_skipped} skipped).")
     print()
 
-    # How much per-event work does the shared trie save against the naive
-    # one-matcher-per-subscription loop?  Both sides run the expectation
-    # engine explicitly (the DFA default would spawn almost none) and
-    # collect full results, so the gap below is prefix sharing alone.
+    # One engine configuration serves every subscription: the structural
+    # spines — including following/following-sibling steps, compiled as
+    # sibling windows armed by close events — are merged trie-style into one
+    # shared lazy automaton, so a warm StartElement costs one
+    # transition-table lookup regardless of subscription count;
+    # qualifier-carrying subscriptions ([@tier="gold"], [child::price]...)
+    # run the expectation machinery only at elements the DFA proved
+    # structurally viable.  The transition table is bounded
+    # (SubscriptionIndex(dfa_transition_cap=...), default 65536 entries;
+    # overflow falls back to on-the-fly subset construction) and stays warm
+    # across a broker session's documents — reuse the broker, not fresh
+    # matchers, to amortize it.  benchmarks/bench_automaton_sdi.py measures
+    # it against the expectation engine at N=1000 low-overlap subscriptions
+    # ('automaton_sdi' in BENCH_multi_query_sdi.json).
     events = list(document_events(DOCUMENTS["catalogue-with-prices"]))
-    shared = index.matcher(backend="expectations")
-    shared.process(events)
-    independent = sum(
-        stream_evaluate(subscription.path, events,
-                        backend="expectations").stats.expectations_created
-        for subscription in index.subscriptions)
-    print(f"Per-document work on 'catalogue-with-prices': "
-          f"{shared.stats.expectations_created} expectation activations "
-          f"shared vs {independent} for {len(index)} independent matchers.")
-    print()
-
-    # Backend selection.  Everything above already ran the lazy-DFA backend
-    # (the default, backend="dfa"): the subscriptions' structural spines —
-    # including following/following-sibling steps, compiled as sibling
-    # windows armed by close events — are merged trie-style into one shared
-    # lazy automaton, so a warm StartElement costs one transition-table
-    # lookup regardless of subscription count; qualifier-carrying
-    # subscriptions ([@tier="gold"], [child::price]...) run the expectation
-    # machinery only at elements the DFA proved structurally viable.  The
-    # transition table is bounded (SubscriptionIndex(dfa_transition_cap=...),
-    # default 65536 entries; overflow falls back to on-the-fly subset
-    # construction) and stays warm across a broker session's documents —
-    # reuse the broker, not fresh matchers, to amortize it.
-    # benchmarks/bench_automaton_sdi.py measures >= 3x events/sec over the
-    # expectation engine at N=1000 low-overlap subscriptions
-    # ('automaton_sdi' in BENCH_multi_query_sdi.json).  The expectation
-    # engine (backend="expectations", or REPRO_STREAMING_BACKEND=
-    # expectations for a whole process) remains the differential-testing
-    # semantics reference: per-event cost scales with the live expectations
-    # an event could match, fine for a few subscriptions on one-shot
-    # documents, and handy when bisecting a suspected automaton bug.
-    dfa_matcher = index.matcher(matches_only=True, backend="dfa")
+    dfa_matcher = index.matcher(matches_only=True)
     dfa_matcher.process(events)
-    dfa_again = index.matcher(matches_only=True, backend="dfa")
+    dfa_again = index.matcher(matches_only=True)
     dfa_again.process(events)
-    print(f"Lazy-DFA backend on the same document: "
+    print(f"Lazy DFA on 'catalogue-with-prices': "
           f"{dfa_matcher.dfa_state_count()} DFA states materialized, "
           f"{dfa_matcher.stats.expectations_created} expectations spawned "
-          f"(vs {shared.stats.expectations_created} on the expectation "
-          f"engine); second pass answered "
+          f"past qualifier gates; second pass answered "
           f"{dfa_again.stats.transition_cache_hits}/"
           f"{dfa_again.stats.transition_cache_lookups} transitions from "
           f"the warm table.")

@@ -4,7 +4,8 @@ CI runs the multi-subscription SDI benchmark smoke on every build, which
 rewrites ``BENCH_multi_query_sdi.json``.  This module compares the fresh
 artifact against the baseline committed at the previous revision and fails
 (exit code 1) when throughput collapsed on any gated metric: the
-expectation engine's indexed events/sec (``multi_query_sdi``) and the lazy
+expectation engine's events/sec (``multi_query_sdi``, every subscription
+forced onto the fallback trie) and the lazy
 DFA's warm events/sec (``automaton_sdi``), both at the N=1000 scale,
 dropping by more than the tolerance (25% by default).  The substream
 extraction throughput (``substream_extraction``) is tracked the same way
@@ -43,8 +44,8 @@ METRIC = "events_per_sec_indexed"
 SUBSCRIPTIONS = 1000
 
 #: Every ``(section, metric)`` pair the CI gate pins, all at
-#: :data:`SUBSCRIPTIONS`: the expectation engine's indexed throughput and
-#: the lazy DFA's warm throughput (the default backend's steady state).
+#: :data:`SUBSCRIPTIONS`: the expectation engine's throughput and the lazy
+#: DFA's warm throughput (the default route's steady state).
 GATES: Tuple[Tuple[str, str], ...] = (
     (SECTION, METRIC),
     ("automaton_sdi", "events_per_sec_dfa"),

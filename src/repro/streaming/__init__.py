@@ -7,12 +7,12 @@ provides:
 
 * :mod:`repro.streaming.matcher` — the single-pass matching engine,
 * :mod:`repro.streaming.engine` — the multi-subscription engine: a
-  :class:`SubscriptionIndex` sharing the leading steps of thousands of
-  subscriptions in a prefix trie, and the :class:`MultiMatcher` advancing
-  all of them in one document pass (the paper's SDI use case at scale),
-* :mod:`repro.streaming.automaton` — the lazy-DFA structural dispatch
-  backend (``backend="dfa"``): subscription spines compiled into one shared
-  automaton, DFA states materialized lazily at match time,
+  :class:`SubscriptionIndex` compiling thousands of subscriptions into one
+  shared automaton, and the :class:`MultiMatcher` advancing all of them in
+  one document pass (the paper's SDI use case at scale),
+* :mod:`repro.streaming.automaton` — lazy-DFA structural dispatch:
+  subscription spines compiled into one shared automaton, DFA states
+  materialized lazily at match time,
 * :mod:`repro.streaming.broker` — the push-mode serving layer: a
   :class:`DocumentBroker` matching a continuous feed of chunked documents
   against one compiled index through a reusable matcher session,
@@ -111,44 +111,49 @@ via ``delivery=``:
   ``SubscriptionResult.payload``.  ``StreamStats.subtrees_emitted`` /
   ``bytes_emitted`` count what crossed the boundary.
 
-Backends: expectation engine vs lazy DFA
-----------------------------------------
+One route: automaton, gates, fallback trie
+------------------------------------------
 
 Every matching entry point — :class:`StreamingMatcher`,
 :meth:`SubscriptionIndex.matcher`/``evaluate``, :class:`DocumentBroker`,
-:func:`stream_evaluate` — takes ``backend="expectations" | "dfa"``
-(``None`` defers to the ``REPRO_STREAMING_BACKEND`` environment variable,
-then to the default ``"dfa"``).  Both backends are exact: the three-way
-differential suite pins DFA == expectations == DOM on every generated
-document/query pool.
+:func:`stream_evaluate` — runs the same engine configuration, in three
+layers:
 
-``"dfa"`` (the default) compiles each subscription's structural spine —
-``self``/``child``/``descendant``/``descendant-or-self``/``attribute``
-steps, plus ``following-sibling``/``following`` steps as close-event-armed
-*sibling windows* — into NFA fragments merged trie-style into one shared
-automaton and materializes DFA states lazily: once the transition table
-is warm a StartElement costs one dictionary lookup plus a stack push,
-*independent of the number of subscriptions*.  Structurally decided
-subscriptions (no qualifiers) are answered by DFA accept sets alone;
-qualifier-carrying ones run the expectation machinery only past a DFA
-*gate* — i.e. only on structurally-viable elements.  Memory is bounded on
-both axes: the transition table holds at most
-``SubscriptionIndex(dfa_transition_cap=...)`` entries (default 65536,
-FIFO eviction with on-the-fly subset construction past it —
-``StreamStats.transition_cache_evictions``), and the materialized state
-set itself is flushed and lazily rebuilt when it outgrows the same bound
-(``StreamStats.transition_cache_flushed``) — so even a feed of documents
-with ever-new tag combinations cannot grow the automaton without limit.
-A broker session keeps the warmed table across documents, which is where
-the ≥3x events/sec of ``benchmarks/bench_automaton_sdi.py`` comes from.
+* **the lazy automaton** — each subscription's structural spine
+  (``self``/``child``/``descendant``/``descendant-or-self``/``attribute``
+  steps, plus ``following-sibling``/``following`` steps as
+  close-event-armed *sibling windows*) is compiled into NFA fragments
+  merged trie-style into one shared automaton, and DFA states are
+  materialized lazily: once the transition table is warm a StartElement
+  costs one dictionary lookup plus a stack push, *independent of the
+  number of subscriptions*.  Structurally decided subscriptions (no
+  qualifiers) are answered by DFA accept sets alone;
+* **qualifier gates** — qualifier-carrying subscriptions run the
+  expectation engine only past a DFA *gate*, i.e. only on
+  structurally-viable elements;
+* **the fallback trie** — the rare union members whose first step the
+  automaton cannot serve run on the expectation engine from the root,
+  merged into a prefix trie.
 
-``"expectations"`` advances one live expectation per (trie node, anchor);
-per-event cost scales with the expectations the event could match.  It
-handles every forward axis uniformly, needs no warmup, and is the
-*semantics reference*: the differential suites pin the automaton against
-it, and ``REPRO_STREAMING_BACKEND=expectations`` is the opt-out when a
-workload is better served without compilation (few subscriptions on
-one-shot documents) or when bisecting a suspected automaton bug.
+Memory is bounded on both axes of the automaton: the transition table
+holds at most ``SubscriptionIndex(dfa_transition_cap=...)`` entries
+(default 65536, FIFO eviction with on-the-fly subset construction past
+it — ``StreamStats.transition_cache_evictions``), and the materialized
+state set itself is flushed and lazily rebuilt when it outgrows the same
+bound (``StreamStats.transition_cache_flushed``) — so even a feed of
+documents with ever-new tag combinations cannot grow the automaton
+without limit.  A broker session keeps the warmed table across
+documents, which is where the throughput of
+``benchmarks/bench_automaton_sdi.py`` comes from.
+
+The expectation engine advances one live expectation per (trie node,
+anchor); per-event cost scales with the expectations the event could
+match.  It handles every forward axis uniformly and is the *semantics
+reference*: the test and benchmark suites force every member of an index
+onto the fallback trie — a ``forced_fallback`` seam in the repository's
+root ``conftest.py`` that stubs out the automaton's spine split — so the
+whole index runs on the expectation engine, and the differential suites
+pin that route and the default one against the DOM evaluator.
 
 Live churn
 ----------
@@ -159,8 +164,8 @@ subscribes or unsubscribes, so a built :class:`SubscriptionIndex` is
 
 * :meth:`SubscriptionIndex.add_subscription(key, query)
   <SubscriptionIndex.add_subscription>` threads the new query into the
-  existing structures incrementally — prefix-trie branches are inserted in
-  place, and the new NFA fragments merge into the shared automaton followed
+  existing structures incrementally — fallback-trie branches are inserted
+  in place, and the new NFA fragments merge into the shared automaton followed
   by a **targeted invalidation**: the epoch bumps, but only cached
   transitions whose NFA-state sets intersect the touched fragments are
   dropped (every materialized DFA state, and the state ids live runs hold,
@@ -203,12 +208,7 @@ document the moment its routing is decided
 """
 
 from repro.streaming.stats import StreamStats
-from repro.streaming.automaton import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    SubscriptionAutomaton,
-    resolve_backend,
-)
+from repro.streaming.automaton import SubscriptionAutomaton
 from repro.streaming.delivery import (
     DELIVERY_MODES,
     Delivery,
@@ -230,10 +230,7 @@ from repro.streaming.dom_baseline import dom_evaluate
 from repro.streaming.buffered import buffered_evaluate
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "BACKENDS",
     "SubscriptionAutomaton",
-    "resolve_backend",
     "DELIVERY_MODES",
     "Delivery",
     "NodeIdDelivery",

@@ -1,5 +1,4 @@
-"""Lazy-DFA structural dispatch for the subscription engine (the default
-``backend="dfa"``).
+"""Lazy-DFA structural dispatch for the subscription engine.
 
 The expectation engine of :mod:`repro.streaming.matcher` pays per event for
 every *live* expectation a node could match; at thousands of subscriptions
@@ -50,9 +49,9 @@ event stream:
   expectation engine wholesale (the caller keeps a fallback trie for them).
   With sibling windows compiled and ``//`` descents folded instead of
   forked, that is now a rare corner (adversarial named
-  ``descendant-or-self`` chains past the alternative cap), which is why
-  ``dfa`` is the default backend and the expectation engine serves as the
-  differential-testing semantics reference.
+  ``descendant-or-self`` chains past the alternative cap).  Tests force
+  *every* member onto that fallback route to use the expectation engine as
+  the differential-testing semantics reference.
 
 The automaton is shared — one compiled instance serves every matcher a
 :class:`SubscriptionIndex` hands out, and a reused broker session keeps the
@@ -67,9 +66,8 @@ subscribing never recompiles the world.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.errors import StreamingError
 from repro.xpath import analysis
@@ -82,14 +80,6 @@ from repro.xpath.ast import (
     iter_union_members,
 )
 from repro.xpath.serializer import to_string
-
-#: Environment variable consulted when no explicit backend is passed; lets
-#: CI run the whole tier-1 suite once per backend without editing tests.
-BACKEND_ENV_VAR = "REPRO_STREAMING_BACKEND"
-
-#: The two engine backends: the lazy DFA of this module (default) and the
-#: expectation engine (the differential-testing semantics reference).
-BACKENDS = ("expectations", "dfa")
 
 #: Default bound of the shared transition table (element + attribute
 #: entries).  Generous for real vocabularies; small enough that a pathological
@@ -104,28 +94,6 @@ DEFAULT_TRANSITION_CAP = 65536
 #: ratio an add is guaranteed never to trigger a full recompilation
 #: (``ChurnStats.full_flushes`` stays 0).
 TARGETED_FLUSH_RATIO = 0.5
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Normalize a backend selector, consulting ``REPRO_STREAMING_BACKEND``.
-
-    ``None`` means "whatever the environment says", defaulting to the lazy
-    DFA; anything outside :data:`BACKENDS` is rejected with the same error
-    whether it came from the caller or from the environment — the message
-    names the variable when the environment is the source.
-    """
-    from_environment = False
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR)
-        from_environment = bool(backend)
-        if not backend:
-            backend = "dfa"
-    if backend not in BACKENDS:
-        origin = f" (from {BACKEND_ENV_VAR})" if from_environment else ""
-        raise StreamingError(
-            f"unknown streaming backend {backend!r}{origin}; expected one "
-            f"of {', '.join(BACKENDS)}")
-    return backend
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +621,9 @@ class SubscriptionAutomaton:
 class AutomatonRun:
     """Per-matcher driver of a shared :class:`SubscriptionAutomaton`.
 
-    Owned by a :class:`~repro.streaming.matcher.MatcherCore` with
-    ``backend="dfa"``; the core calls in from its event loop.  The only
-    per-document state is the DFA state stack mirroring the open-element
-    stack — plus, when the automaton has sibling-window rules, the parallel
+    Owned by every :class:`~repro.streaming.matcher.MatcherCore`; the core
+    calls in from its event loop.  The only per-document state is the DFA
+    state stack mirroring the open-element stack — plus, when the automaton has sibling-window rules, the parallel
     stack of exact NFA-state sets (window arming merges states into live
     entries, which tag replay could not reconstruct) and the set of armed
     ``following`` windows.  ``rewind()`` (wired into the core's
@@ -831,8 +798,8 @@ class AutomatonRun:
         steps resolve — which is also where substream capture windows open
         (:meth:`~repro.streaming.matcher.MatcherCore._capture_candidate`).
         DFA-accepted structural members therefore start their captures at
-        the accepting element's own StartElement, exactly like trie
-        terminals on the expectation backend: ``on_node`` runs inside the
+        the accepting element's own StartElement, exactly like fallback-trie
+        terminals of the expectation engine: ``on_node`` runs inside the
         core's ``_start_node``, before the event reaches the shared tee.
         """
         sink_of = self._sink_of

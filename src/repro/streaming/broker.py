@@ -8,7 +8,7 @@ chunks — and must route each one to the standing subscriptions it matches.
 
 * the subscriptions are compiled **once** into a
   :class:`~repro.streaming.engine.SubscriptionIndex` (parse, reverse-axis
-  rewriting, prefix-trie merge);
+  rewriting, one shared lazy automaton);
 * one resumable :class:`~repro.streaming.engine.MultiMatcher` session is
   created lazily and *reused* across documents via
   :meth:`~repro.streaming.matcher.MatcherCore.reset`, so the per-document
@@ -42,7 +42,6 @@ from typing import (
     Union as TypingUnion,
 )
 
-from repro.streaming.automaton import resolve_backend
 from repro.streaming.delivery import (
     Delivery,
     PayloadCallback,
@@ -136,14 +135,9 @@ class DocumentBroker:
     Passing both ``delivery`` and ``on_payload`` is rejected unless they
     agree (the delivery has no callback of its own).
 
-    ``backend`` picks the structural dispatch engine: ``"dfa"`` (the
-    default) compiles the index into one shared lazy automaton whose warmed
+    The index compiles into one shared lazy automaton whose warmed
     transition table persists across the whole feed — the broker's sweet
-    spot; ``"expectations"`` is the uncompiled semantics reference
-    (``REPRO_STREAMING_BACKEND=expectations`` is the environment opt-out);
-    ``None`` defers to that variable, then to ``"dfa"``.  Resolved once at
-    construction, so a long-lived broker is immune to later environment
-    changes.
+    spot (see :mod:`repro.streaming.automaton`).
 
     ``history_limit`` bounds the per-document :attr:`history` the broker
     retains for monitoring: the most recent ``history_limit`` submissions
@@ -174,8 +168,6 @@ class DocumentBroker:
                                             Mapping[Hashable, TypingUnion[str, PathExpr]],
                                             Iterable[TypingUnion[str, PathExpr]]] = None,
                  matches_only: bool = False,
-                 indexed: bool = True,
-                 backend: Optional[str] = None,
                  keep_whitespace: bool = False,
                  ruleset: str = "ruleset2",
                  cache: Optional[QueryCache] = None,
@@ -202,10 +194,6 @@ class DocumentBroker:
                     "SubstreamDelivery(on_payload=...) or on_payload alone")
         self._delivery = resolve_delivery(delivery, matches_only)
         self._matches_only = self._delivery.matches_only
-        self._indexed = indexed
-        # Resolved once at construction so a long-lived broker is immune to
-        # later environment changes.
-        self._backend = resolve_backend(backend)
         self._keep_whitespace = keep_whitespace
         self._matcher: Optional[MultiMatcher] = None
         self._session_used = False
@@ -226,7 +214,8 @@ class DocumentBroker:
         return len(self._index)
 
     def add(self, query, key: Optional[Hashable] = None) -> Subscription:
-        """Register one more subscription; the session is rebuilt lazily.
+        """Register one more subscription; the session picks it up at the
+        next submit (the index ``version`` moved, so checkout syncs it).
 
         Only available when the broker built its own index.  A
         ``SubscriptionIndex`` handed in by the caller may be shared with
@@ -234,15 +223,11 @@ class DocumentBroker:
         subscription on it *before* constructing the brokers instead.
         """
         self._check_owns_index()
-        subscription = self._index.add(query, key=key)
-        self._matcher = None
-        return subscription
+        return self._index.add(query, key=key)
 
     def add_many(self, subscriptions) -> List[Subscription]:
         self._check_owns_index()
-        added = self._index.add_many(subscriptions)
-        self._matcher = None
-        return added
+        return self._index.add_many(subscriptions)
 
     def _check_owns_index(self) -> None:
         if not self._owns_index:
@@ -289,8 +274,6 @@ class DocumentBroker:
             # or a previous submission left an unsalvageable session:
             # build a fresh one.
             matcher = index.matcher(matches_only=self._matches_only,
-                                    indexed=self._indexed,
-                                    backend=self._backend,
                                     delivery=self._delivery)
             self._matcher = matcher
             self._session_used = False
@@ -367,7 +350,7 @@ class DocumentBroker:
         """Recover the session after a submission died mid-document.
 
         The stream state is poisoned but the expensive per-subscription
-        setup (and, for the DFA backend, the warmed automaton) is not:
+        setup (and the warmed automaton) is not:
         :meth:`~repro.streaming.matcher.MatcherCore.reset` clears exactly
         the per-document state, so the *next* submit reuses the session
         instead of paying for a fresh matcher.  If even the reset fails the

@@ -9,21 +9,22 @@ work in the tradition of shared-index filtering engines (XFilter/YFilter):
 
 * :class:`SubscriptionIndex` compiles every subscription once — parsing and
   reverse-axis removal are memoized through
-  :mod:`repro.xpath.cache` — and merges the leading steps of all
-  subscriptions into a prefix *trie*.  Two subscriptions whose paths start
-  with the same steps (same axis, node test and qualifiers) are represented
-  by the same trie nodes.
-* :class:`MultiMatcher` advances the whole trie over one event stream in a
-  single pass.  One expectation per (trie node, anchor) replaces one
-  expectation per (subscription, step, anchor); qualifier conditions of a
-  shared step are built once per matched node and reused by every
-  subscription downstream.  Absolute sub-paths mentioned in qualifiers and
-  joins are matched once, shared across *all* subscriptions.  Live
-  expectations sit in the core's tag-indexed dispatch structure, so a node
-  event touches only the trie branches whose next step could match it; in
-  verdict-only mode a branch is retired — its expectations unlinked, its
-  spawning stopped — the moment the last subscription below it is
-  satisfied.
+  :mod:`repro.xpath.cache` — into one shared lazy automaton
+  (:mod:`repro.streaming.automaton`) over the subscriptions' structural
+  spines.  The few union members the automaton cannot serve are merged
+  into a prefix *trie* instead: two members whose paths start with the
+  same steps (same axis, node test and qualifiers) share trie nodes.
+* :class:`MultiMatcher` runs the automaton and the fallback trie over one
+  event stream in a single pass.  Past a qualifier gate, and along the
+  trie, one expectation per (trie node, anchor) replaces one expectation
+  per (subscription, step, anchor); qualifier conditions of a shared step
+  are built once per matched node and reused by every subscription
+  downstream.  Absolute sub-paths mentioned in qualifiers and joins are
+  matched once, shared across *all* subscriptions.  Live expectations sit
+  in the core's tag-indexed dispatch structure, so a node event touches
+  only the trie branches whose next step could match it; in verdict-only
+  mode a branch is retired — its expectations unlinked, its spawning
+  stopped — the moment the last subscription below it is satisfied.
 
 The per-subscription semantics are exactly those of
 :func:`repro.streaming.stream_evaluate` — the property tests assert result
@@ -38,11 +39,9 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, 
 
 from repro.errors import StreamingError
 from repro.streaming.automaton import (
-    AutomatonRun,
     DEFAULT_TRANSITION_CAP,
     SubscriptionAutomaton,
     compile_subscription_automaton,
-    resolve_backend,
 )
 from repro.streaming.delivery import (
     Delivery,
@@ -136,8 +135,8 @@ class _TrieNode:
 def _build_trie(members_by_ordinal) -> _TrieNode:
     """Build and seal a subscription trie from ``(ordinal, member)`` pairs.
 
-    Shared by the full trie (expectation backend) and the fallback trie
-    (the members the DFA backend cannot serve) so the two can never drift.
+    Builds the fallback trie (the members the automaton cannot serve) and
+    the whole-index report trie of :meth:`SubscriptionIndex.sharing_summary`.
     """
     root = _TrieNode()
     for ordinal, member in members_by_ordinal:
@@ -312,11 +311,11 @@ class MultiMatcher(MatcherCore):
     """
 
     def __init__(self, subscriptions: Sequence[Subscription], trie: _TrieNode,
-                 matches_only: bool = False, indexed: bool = True,
-                 automaton: Optional[SubscriptionAutomaton] = None,
+                 automaton: SubscriptionAutomaton,
+                 matches_only: bool = False,
                  delivery: Optional[Delivery] = None,
                  index: Optional["SubscriptionIndex"] = None):
-        super().__init__(indexed=indexed)
+        super().__init__(automaton)
         #: Live churn (see :meth:`sync`): the index this session serves, the
         #: retired-ordinal set shared with it *by reference* (removals take
         #: effect immediately, mid-document included), and the version /
@@ -346,11 +345,6 @@ class MultiMatcher(MatcherCore):
         #: Emission dedup — several retained entries may claim the same
         #: (subscription, node); the payload is emitted once.
         self._emitted_captures: set = set()
-        if automaton is not None:
-            # Lazy-DFA backend: the trie passed in covers only the fallback
-            # members; everything else dispatches through the automaton.
-            self._automaton_run = AutomatonRun(automaton,
-                                               self._structural_sink)
         self._sinks = [_Sink(exists_only=matches_only)
                        for _ in self._subscriptions]
         #: Reverse map for verdict bookkeeping: a result sink can satisfy
@@ -373,11 +367,6 @@ class MultiMatcher(MatcherCore):
             self._seed_retired_verdicts()
         for subscription in self._subscriptions:
             self._register_absolute_subpaths(subscription.path)
-
-    @property
-    def backend(self) -> str:
-        """Which structural dispatch engine this matcher runs on."""
-        return "dfa" if self._automaton is not None else "expectations"
 
     def _structural_sink(self, ordinal: int) -> _Sink:
         # Live churn: the shared automaton may fire for ordinals this
@@ -411,11 +400,10 @@ class MultiMatcher(MatcherCore):
             if ordinal < len(self._subscriptions))
 
     def dfa_state_count(self) -> int:
-        """DFA states materialized in the shared automaton (0 for the
-        expectation backend).  Stable across :meth:`reset` — the warmed
-        transition table is the point of session reuse."""
-        return (self._automaton.state_count()
-                if self._automaton is not None else 0)
+        """DFA states materialized in the shared automaton.  Stable across
+        :meth:`reset` — the warmed transition table is the point of session
+        reuse."""
+        return self._automaton.state_count()
 
     # -- session reuse -----------------------------------------------------
     def reset(self) -> None:
@@ -641,14 +629,15 @@ class SubscriptionIndex:
     share is parsed and rewritten exactly once.
 
     One index serves any number of documents: :meth:`matcher` hands out a
-    fresh single-pass :class:`MultiMatcher` over the shared trie.
+    fresh single-pass :class:`MultiMatcher` over the shared automaton and
+    fallback trie.
 
     **Live churn.**  A production router cannot recompile the world when
     one user subscribes or unsubscribes, so the shared structures are
     mutated *incrementally* on a running index:
 
     * :meth:`add_subscription` threads the new branches into the built
-      prefix/fallback tries in place and inserts the new NFA fragments into
+      fallback trie in place and inserts the new NFA fragments into
       the shared automaton with a *targeted* DFA invalidation (epoch bump
       plus patching only the materialized states the fragments touch — see
       :meth:`~repro.streaming.automaton.SubscriptionAutomaton.add_member`);
@@ -677,9 +666,8 @@ class SubscriptionIndex:
         self._cache = cache if cache is not None else default_cache()
         self._subscriptions: List[Subscription] = []
         self._by_key: Dict[Hashable, Subscription] = {}
-        self._trie: Optional[_TrieNode] = None
         self._dfa_transition_cap = dfa_transition_cap
-        #: Lazily compiled DFA-backend parts: the shared automaton plus the
+        #: Lazily compiled matching structures: the shared automaton plus the
         #: trie over the members it cannot serve (see :meth:`matcher`).
         self._automaton_parts: Optional[
             Tuple[SubscriptionAutomaton, _TrieNode]] = None
@@ -734,10 +722,6 @@ class SubscriptionIndex:
         self._version += 1
         # Structures not built yet stay lazy; built ones are updated
         # *incrementally* — live churn never recompiles the world.
-        if self._trie is not None:
-            for member in iter_union_members(path):
-                if not isinstance(member, Bottom):
-                    _trie_insert(self._trie, ordinal, member)
         if self._automaton_parts is not None:
             automaton, fallback_trie = self._automaton_parts
             for member in automaton.add_member(ordinal, path,
@@ -763,7 +747,7 @@ class SubscriptionIndex:
 
         Exactly :meth:`add` with the key required up front (a pub/sub
         server always has a subscriber identity), counted in :attr:`churn`.
-        Built structures are updated incrementally — prefix/fallback trie
+        Built structures are updated incrementally — fallback trie
         branches threaded in place, NFA fragments inserted with a targeted
         DFA invalidation — and live sessions pick the addition up at their
         next document (:meth:`MultiMatcher.sync`, which the broker's
@@ -797,8 +781,6 @@ class SubscriptionIndex:
         members = [member
                    for member in iter_union_members(subscription.path)
                    if not isinstance(member, Bottom)]
-        if self._trie is not None:
-            _trie_remove(self._trie, ordinal, members)
         if self._automaton_parts is not None:
             # Only the fallback members ever reached this trie; the others
             # walk to a missing child and are skipped.
@@ -811,8 +793,8 @@ class SubscriptionIndex:
     def vacuum(self) -> int:
         """Deferred compaction: rebuild without the retired ordinals.
 
-        Survivor ordinals are remapped to close the gaps and the trie /
-        automaton are dropped for lazy recompilation, so the shared NFA
+        Survivor ordinals are remapped to close the gaps and the automaton /
+        fallback trie are dropped for lazy recompilation, so the shared NFA
         sheds the dead fragments removal left behind.  Runs automatically
         from :meth:`remove_subscription` past ``vacuum_ratio``; callable
         explicitly (e.g. in a maintenance window).  Existing sessions are
@@ -833,7 +815,6 @@ class SubscriptionIndex:
         self._by_key = {subscription.key: subscription
                         for subscription in self._subscriptions}
         self._retired = set()
-        self._trie = None
         self._automaton_parts = None
         self._generation += 1
         self._version += 1
@@ -866,19 +847,8 @@ class SubscriptionIndex:
     def __len__(self) -> int:
         return len(self._subscriptions) - len(self._retired)
 
-    def _built_trie(self) -> _TrieNode:
-        if self._trie is None:
-            retired = self._retired
-            self._trie = _build_trie(
-                (subscription.ordinal, member)
-                for subscription in self._subscriptions
-                if subscription.ordinal not in retired
-                for member in iter_union_members(subscription.path)
-                if not isinstance(member, Bottom))
-        return self._trie
-
     def _built_automaton(self) -> Tuple[SubscriptionAutomaton, _TrieNode]:
-        """The shared lazy automaton plus the fallback trie (DFA backend).
+        """The shared lazy automaton plus the fallback trie.
 
         Compiled once per subscription set: the automaton covers every
         union member whose spine it can serve, the trie the rest.  The
@@ -904,55 +874,46 @@ class SubscriptionIndex:
         """Trie compression figures (see ``analysis.prefix_sharing_summary``).
 
         ``trie_nodes`` is the number of shared step expectations the engine
-        walks instead of ``spine_steps`` independent ones.
+        walks instead of ``spine_steps`` independent ones;
+        ``trie_nodes_built`` counts the nodes of a whole-index prefix trie
+        built for this report.
         """
+        subscriptions = self.subscriptions
         summary = analysis.prefix_sharing_summary(
-            subscription.path for subscription in self.subscriptions)
-        summary["trie_nodes_built"] = self._built_trie().node_count()
+            subscription.path for subscription in subscriptions)
+        summary["trie_nodes_built"] = _build_trie(
+            (subscription.ordinal, member)
+            for subscription in subscriptions
+            for member in iter_union_members(subscription.path)
+            if not isinstance(member, Bottom)).node_count()
         return summary
 
     # -- matching ----------------------------------------------------------
     def matcher(self, matches_only: bool = False,
-                indexed: bool = True,
-                backend: Optional[str] = None,
                 delivery: Optional[Delivery] = None) -> MultiMatcher:
-        """A fresh single-pass matcher over the shared trie.
+        """A fresh single-pass matcher over the shared automaton.
 
-        ``backend="dfa"`` (the default) selects lazy-DFA structural dispatch
-        (shared automaton, expectation engine only past qualifier gates —
-        see :mod:`repro.streaming.automaton`); ``"expectations"`` the pure
-        expectation engine, kept as the differential semantics reference;
-        ``None`` defers to ``REPRO_STREAMING_BACKEND``, then to ``"dfa"``.
-        ``indexed=False`` selects the linear-scan reference engine (every
-        live expectation examined on every event) — same results, kept for
-        benchmarking the dispatch index against.
+        Structural spines dispatch through the lazy DFA, qualifiers run on
+        the expectation engine past its gates, and the few members the
+        automaton cannot serve run on the expectation engine from the root
+        through the fallback trie (see :mod:`repro.streaming.automaton`).
 
         ``delivery`` picks the emission layer (verdict / node ids /
         substream — see :mod:`repro.streaming.delivery`); ``None`` keeps the
         legacy behaviour of ``matches_only``.
         """
-        if resolve_backend(backend) == "dfa":
-            automaton, fallback_trie = self._built_automaton()
-            return MultiMatcher(self._subscriptions, fallback_trie,
-                                matches_only=matches_only, indexed=indexed,
-                                automaton=automaton, delivery=delivery,
-                                index=self)
-        return MultiMatcher(self._subscriptions, self._built_trie(),
-                            matches_only=matches_only, indexed=indexed,
-                            delivery=delivery, index=self)
+        automaton, fallback_trie = self._built_automaton()
+        return MultiMatcher(self._subscriptions, fallback_trie, automaton,
+                            matches_only=matches_only, delivery=delivery,
+                            index=self)
 
     def evaluate(self, events: Iterable[Event],
                  matches_only: bool = False,
-                 indexed: bool = True,
-                 backend: Optional[str] = None,
                  delivery: Optional[Delivery] = None) -> MultiMatchResult:
         """Match one document stream against every subscription at once."""
         return self.matcher(matches_only=matches_only,
-                            indexed=indexed, backend=backend,
                             delivery=delivery).process(events)
 
-    def matching(self, events: Iterable[Event],
-                 backend: Optional[str] = None) -> List[Hashable]:
+    def matching(self, events: Iterable[Event]) -> List[Hashable]:
         """Keys of the subscriptions the document matches (SDI routing)."""
-        return self.evaluate(events, matches_only=True,
-                             backend=backend).matching_keys
+        return self.evaluate(events, matches_only=True).matching_keys

@@ -10,7 +10,7 @@ the document match the subscription at all?
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Union as TypingUnion
+from typing import Iterable, List, Union as TypingUnion
 
 from repro.streaming.matcher import StreamingMatcher
 from repro.streaming.stats import StreamStats
@@ -39,8 +39,7 @@ class StreamResult:
 
 
 def stream_evaluate(path: TypingUnion[str, PathExpr],
-                    events: Iterable[Event],
-                    backend: Optional[str] = None) -> StreamResult:
+                    events: Iterable[Event]) -> StreamResult:
     """Evaluate a reverse-axis-free path over an event stream in one pass.
 
     Parameters
@@ -54,12 +53,10 @@ def stream_evaluate(path: TypingUnion[str, PathExpr],
         :func:`repro.xmlmodel.parser.iter_events` (XML text),
         :func:`repro.xmlmodel.builder.document_events` (an in-memory
         document) or a custom producer.
-    backend:
-        ``"dfa"`` (default) or ``"expectations"`` — the structural dispatch
-        engine (see :class:`repro.streaming.matcher.StreamingMatcher`);
-        ``None`` defers to the ``REPRO_STREAMING_BACKEND`` environment
-        variable, then to ``"dfa"``.  The expectation engine is the
-        differential-testing semantics reference.
+
+    The path's structural spine runs on the lazy automaton, its qualifiers
+    and any members the automaton cannot serve on the expectation engine
+    (see :class:`repro.streaming.matcher.StreamingMatcher`).
 
     Returns
     -------
@@ -69,13 +66,12 @@ def stream_evaluate(path: TypingUnion[str, PathExpr],
     """
     if isinstance(path, str):
         path = parse_xpath(path)
-    matcher = StreamingMatcher(path, backend=backend)
+    matcher = StreamingMatcher(path)
     node_ids = matcher.process(events)
     return StreamResult(node_ids=node_ids, stats=matcher.stats)
 
 
 def stream_matches(path: TypingUnion[str, PathExpr],
-                   events: Iterable[Event],
-                   backend: Optional[str] = None) -> bool:
+                   events: Iterable[Event]) -> bool:
     """Whether the document on the stream matches the path at all (SDI check)."""
-    return stream_evaluate(path, events, backend=backend).matched
+    return stream_evaluate(path, events).matched

@@ -40,7 +40,7 @@ How it works
   before it matches — the node test itself is implied by the bucket.
   Per-event work therefore scales with the expectations that *could* match
   the event, not with all live expectations
-  (``StreamStats.expectations_checked`` vs ``linear_scan_checks``).
+  (``StreamStats.expectations_checked``).
 * Lifecycle transitions are indexed by node id instead of scanned:
   expectations waiting for their anchor to close (``following`` /
   ``following-sibling``) sit in a map keyed by anchor id and enter the
@@ -88,8 +88,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.errors import ReverseAxisStreamingError, StreamingError
 from repro.streaming.automaton import (
     AutomatonRun,
+    SubscriptionAutomaton,
     compile_subscription_automaton,
-    resolve_backend,
 )
 from repro.streaming.delivery import SubtreeTee, _LeafCapture
 from repro.streaming.stats import StreamStats
@@ -375,52 +375,23 @@ class _Expectation:
         # active window.
         return True
 
-    def matches(self, depth: int, is_element: bool, tag: Optional[str],
-                is_attribute: bool = False) -> bool:
-        return (self.admissible(depth)
-                and _test_matches(self.step, is_element, tag, is_attribute))
-
-
-def _test_matches(step: Step, is_element: bool, tag: Optional[str],
-                  is_attribute: bool = False) -> bool:
-    kind = step.node_test.kind
-    if kind is NodeTestKind.ATTRIBUTE:
-        return is_attribute and (step.node_test.name is None
-                                 or tag == step.node_test.name)
-    if kind is NodeTestKind.NODE:
-        return True
-    if is_attribute:
-        # Attribute nodes satisfy only attribute tests and node().
-        return False
-    if kind is NodeTestKind.TEXT:
-        return not is_element
-    if kind is NodeTestKind.WILDCARD:
-        return is_element
-    return is_element and tag == step.node_test.name
-
 
 class _DispatchIndex:
     """Active expectations bucketed by what their node test can match.
 
     Buckets are insertion-ordered dicts keyed by expectation serial, so
-    removal (expiry) is O(1) and iteration preserves spawn order.  With
-    ``indexed=False`` every expectation lands in the catch-all bucket and the
-    caller re-applies the node test per event — the faithful linear-scan
-    reference the benchmarks compare against.
+    removal (expiry) is O(1) and iteration preserves spawn order.
 
     Attribute-test expectations get buckets of their own (exact-name table
     plus an ``@*`` bucket), consulted only by the per-element attribute sweep
     — never by element or text dispatch — so attribute-heavy subscription
-    sets keep constant-time dispatch.  They are name-bucketed even in
-    ``indexed=False`` mode: the linear-scan reference predates the attribute
-    extension and its counterfactual is defined over tree-node events.
+    sets keep constant-time dispatch.
     """
 
-    __slots__ = ("indexed", "by_tag", "wildcard", "any_node", "text",
-                 "by_attr", "attr_wildcard")
+    __slots__ = ("by_tag", "wildcard", "any_node", "text", "by_attr",
+                 "attr_wildcard")
 
-    def __init__(self, indexed: bool = True):
-        self.indexed = indexed
+    def __init__(self):
         #: tag -> {serial: expectation} for named node tests.
         self.by_tag: Dict[str, Dict[int, _Expectation]] = {}
         #: ``*`` tests: any element.
@@ -444,8 +415,6 @@ class _DispatchIndex:
                 bucket = self.by_attr.get(name)
                 if bucket is None:
                     bucket = self.by_attr[name] = {}
-        elif not self.indexed:
-            bucket = self.any_node
         elif kind is NodeTestKind.NODE:
             bucket = self.any_node
         elif kind is NodeTestKind.TEXT:
@@ -613,22 +582,22 @@ class MatcherCore:
 
     Owns the element stack, the expectation lifecycle, condition building,
     value collection and the shared absolute-sub-path sinks.  Subclasses
-    decide what is spawned at the document root (one path for
-    :class:`StreamingMatcher`, a subscription trie for
-    :class:`repro.streaming.engine.MultiMatcher`) and how results are read
+    decide what is spawned at the document root (the fallback members of one
+    path for :class:`StreamingMatcher`, a fallback subscription trie for
+    :class:`repro.streaming.engine.MultiMatcher`), which sink an automaton
+    delivery lands in (:meth:`_structural_sink`) and how results are read
     out.
     """
 
-    def __init__(self, indexed: bool = True) -> None:
+    def __init__(self, automaton: SubscriptionAutomaton) -> None:
         self.stats = StreamStats()
-        self._indexed = indexed
-        #: Lazy-DFA structural dispatch (``backend="dfa"``): set by
-        #: subclasses to an :class:`~repro.streaming.automaton.AutomatonRun`;
-        #: ``None`` keeps the pure expectation engine.
-        self._automaton_run: Optional[AutomatonRun] = None
+        #: Lazy-DFA structural dispatch over the shared automaton: accepts
+        #: deliver straight into result sinks, gates hand qualifiers and the
+        #: remaining steps to the expectation machinery below.
+        self._automaton_run = AutomatonRun(automaton, self._structural_sink)
         self._stack: List[_OpenElement] = []
         #: Active expectations, bucketed by node test.
-        self._dispatch = _DispatchIndex(indexed=indexed)
+        self._dispatch = _DispatchIndex()
         #: ``following``/``following-sibling`` expectations waiting for their
         #: anchor element to close, keyed by anchor node id.
         self._waiting_by_anchor: Dict[int, List[_Expectation]] = {}
@@ -798,12 +767,15 @@ class MatcherCore:
         """Spawn whatever this matcher evaluates, anchored at the root."""
         raise NotImplementedError
 
+    def _structural_sink(self, ordinal: int) -> _Sink:  # pragma: no cover
+        """The result sink an automaton delivery for ``ordinal`` lands in."""
+        raise NotImplementedError
+
     def _start_document(self, event: StartDocument) -> None:
         self._stack = [_OpenElement(event.node_id, None, 0)]
         self.stats.nodes_seen += 1
         self._spawn_roots(event.node_id)
-        if self._automaton_run is not None:
-            self._automaton_run.on_document_start(self, event.node_id)
+        self._automaton_run.on_document_start(self, event.node_id)
         # Spawn the shared absolute sub-paths.
         for registry in (self._absolute_sinks, self._absolute_value_sinks):
             for operand, sink in registry.items():
@@ -849,7 +821,6 @@ class MatcherCore:
                     attributes: Tuple[Tuple[str, str], ...] = ()) -> None:
         stats = self.stats
         stats.nodes_seen += 1
-        stats.linear_scan_checks += self._live
         depth = len(self._stack)
         # Snapshot the reachable buckets *before* matching: matching may spawn
         # new expectations, which must not be matched against the node that
@@ -860,23 +831,18 @@ class MatcherCore:
             candidates = self._dispatch.text_candidates()
         if candidates:
             stats.expectations_checked += len(candidates)
-            indexed = self._indexed
             for expectation in candidates:
-                if indexed:
-                    # The bucket implies the node test; check state and depth.
-                    if not expectation.admissible(depth):
-                        continue
-                elif not expectation.matches(depth, is_element, tag):
+                # The bucket implies the node test; check state and depth.
+                if not expectation.admissible(depth):
                     continue
                 self._node_matched(expectation.step, expectation.cont,
                                    node_id, depth, is_element, tag, value,
                                    expectation.conditions)
-        if self._automaton_run is not None:
-            # Structural dispatch: decided deliveries plus qualifier gates,
-            # which may spawn expectations anchored at this very node —
-            # including attribute expectations, resolved by the sweep below.
-            self._automaton_run.on_node(self, node_id, depth, is_element,
-                                        tag, value, attributes)
+        # Structural dispatch: decided deliveries plus qualifier gates, which
+        # may spawn expectations anchored at this very node — including
+        # attribute expectations, resolved by the sweep below.
+        self._automaton_run.on_node(self, node_id, depth, is_element, tag,
+                                    value, attributes)
         if is_element and (attributes
                            or self._dispatch.has_attribute_expectations):
             self._attribute_sweep(node_id, depth, attributes)
@@ -921,7 +887,6 @@ class MatcherCore:
             stats.attributes_seen += 1
             if not dispatch.has_attribute_expectations:
                 continue
-            stats.linear_scan_checks += self._live
             candidates = dispatch.attribute_candidates(name)
             if not candidates:
                 continue
@@ -943,8 +908,7 @@ class MatcherCore:
     def _end_node(self) -> None:
         closed = self._stack.pop()
         node_id = closed.node_id
-        if self._automaton_run is not None:
-            self._automaton_run.on_close(self)
+        self._automaton_run.on_close(self)
         # Open the window of following/following-sibling expectations that
         # were waiting for exactly this element to close.
         waiting = self._waiting_by_anchor.pop(node_id, None)
@@ -960,8 +924,7 @@ class MatcherCore:
                 self._expire(expectation)
         # A following-sibling window closes when the siblings' parent closes;
         # the entries are keyed by that parent's id, so this pops exactly the
-        # affected expectations (the depth comparison the linear scan needed
-        # is implied by the key).
+        # affected expectations (the key implies the depth comparison).
         siblings = self._sibling_expiry_by_parent.pop(node_id, None)
         if siblings is not None:
             for expectation in siblings:
@@ -1024,8 +987,7 @@ class MatcherCore:
         self._sink_watchers = {}
         self._event_entries = []
         self._live = 0
-        if self._automaton_run is not None:
-            self._automaton_run.rewind()
+        self._automaton_run.rewind()
         if self._tee is not None:
             self._tee.rewind()
         self._pending_claims = []
@@ -1108,8 +1070,7 @@ class MatcherCore:
             "collectors_by_node": len(self._collectors_by_node),
             "live_expectations": self._live,
             "open_elements": len(self._stack),
-            "automaton_stack": (len(self._automaton_run.stack)
-                                if self._automaton_run is not None else 0),
+            "automaton_stack": len(self._automaton_run.stack),
             "open_capture_windows": (self._tee.open_windows
                                      if self._tee is not None else 0),
         }
@@ -1448,34 +1409,25 @@ class MatcherCore:
 class StreamingMatcher(MatcherCore):
     """Single-pass matcher for one reverse-axis-free path expression.
 
-    ``backend`` selects the structural dispatch engine: ``"dfa"`` (the
-    default) compiles the path's structural spine into a lazy automaton and
-    runs expectations only past qualifier gates (see
-    :mod:`repro.streaming.automaton`); ``"expectations"`` matches every
-    step through the expectation machinery instead — the differential
-    semantics reference.  ``None`` defers to the
-    ``REPRO_STREAMING_BACKEND`` environment variable, then to ``"dfa"``.
+    The path's structural spine is compiled into a lazy automaton and
+    expectations run only past qualifier gates (see
+    :mod:`repro.streaming.automaton`); union members the automaton cannot
+    serve are matched step by step through the expectation machinery.
     """
 
-    def __init__(self, path: PathExpr, indexed: bool = True,
-                 backend: Optional[str] = None):
+    def __init__(self, path: PathExpr):
         if analysis.has_reverse_steps(path):
             raise ReverseAxisStreamingError(
                 f"path {to_string(path)} contains reverse axes; rewrite it with "
                 f"repro.rewrite.remove_reverse_axes first")
-        super().__init__(indexed=indexed)
+        automaton, fallback = compile_subscription_automaton([(0, path)])
+        super().__init__(automaton)
         self.path = path
-        self.backend = resolve_backend(backend)
         self._result_sink = _Sink()
         self._register_absolute_subpaths(self.path)
-        self._fallback_expr: Optional[PathExpr] = self.path
-        if self.backend == "dfa":
-            automaton, fallback = compile_subscription_automaton(
-                [(0, self.path)])
-            members = fallback.get(0, ())
-            self._fallback_expr = (union_of(*members) if members else None)
-            self._automaton_run = AutomatonRun(automaton,
-                                               self._structural_sink)
+        members = fallback.get(0, ())
+        self._fallback_expr: Optional[PathExpr] = (
+            union_of(*members) if members else None)
 
     def _structural_sink(self, ordinal: int) -> _Sink:
         return self._result_sink

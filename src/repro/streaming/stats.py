@@ -44,24 +44,20 @@ class StreamStats:
     #: only the buckets a node can match are consulted; this counter is the
     #: per-event cost the index is built to shrink.
     expectations_checked: int = 0
-    #: Expectations a per-event linear scan would have examined instead
-    #: (live expectations summed over node start events) — the counterfactual
-    #: cost of the pre-index engine, kept for the benchmark trajectory.
-    linear_scan_checks: int = 0
-    #: Lazy-DFA backend: distinct automaton states materialized *during this
+    #: Lazy DFA: distinct automaton states materialized *during this
     #: run* (a warm transition table materializes none; see
     #: :mod:`repro.streaming.automaton`).
     dfa_states_materialized: int = 0
-    #: Lazy-DFA backend: transition-table lookups performed / answered from
+    #: Lazy DFA: transition-table lookups performed / answered from
     #: the cache.  A fully warm run has ``hits == lookups``; the difference
     #: is the number of on-the-fly subset constructions.
     transition_cache_lookups: int = 0
     transition_cache_hits: int = 0
-    #: Lazy-DFA backend: cached transitions dropped one at a time (FIFO)
+    #: Lazy DFA: cached transitions dropped one at a time (FIFO)
     #: because the bounded table was full (the automaton falls back to
     #: on-the-fly subset construction for evicted entries).
     transition_cache_evictions: int = 0
-    #: Lazy-DFA backend: cached transitions dropped wholesale because the
+    #: Lazy DFA: cached transitions dropped wholesale because the
     #: materialized *state set* outgrew its bound and the automaton flushed
     #: (epoch bump; live runs resync).  Kept separate from the per-entry
     #: FIFO evictions above so the two overflow regimes stay
@@ -103,7 +99,6 @@ class StreamStats:
             "candidates_buffered": self.candidates_buffered,
             "max_live_expectations": self.max_live_expectations,
             "expectations_checked": self.expectations_checked,
-            "linear_scan_checks": self.linear_scan_checks,
             "dfa_states_materialized": self.dfa_states_materialized,
             "transition_cache_lookups": self.transition_cache_lookups,
             "transition_cache_hits": self.transition_cache_hits,

@@ -316,9 +316,9 @@ def differential_query_pool(count: int, seed: int = 7,
                                                               "lang"),
                             attribute_values: Sequence[str] = ("1", "2",
                                                                "x", "y")) -> List[str]:
-    """Queries spanning every backend-relevant shape (differential testing).
+    """Queries spanning every route-relevant shape (differential testing).
 
-    The three-way backend-equivalence suite (lazy DFA == expectation engine
+    The three-way route-equivalence suite (lazy DFA == expectation engine
     == DOM baseline) needs query pools that hit every dispatch regime at
     once: structurally decided spines (pure automaton), qualifier gates
     (automaton hands off to expectations mid-spine), ``following``/

@@ -254,10 +254,10 @@ def is_rare_input(path: PathExpr) -> Tuple[bool, Optional[str]]:
 
 
 # ---------------------------------------------------------------------------
-# Automaton compilability (lazy-DFA backend classification)
+# Automaton compilability (lazy-DFA classification)
 # ---------------------------------------------------------------------------
 
-#: Spine axes the lazy-DFA backend compiles into automaton transitions.
+#: Spine axes the lazy DFA compiles into automaton transitions.
 #: The ancestor-chain axes (``self``/``child``/``descendant``/
 #: ``descendant-or-self``/``attribute``) are decided by a run over the
 #: root-to-node tag sequence alone; ``following``/``following-sibling``
@@ -465,7 +465,7 @@ def automaton_spine_alternatives(steps: Tuple[Step, ...],
 def automaton_spine_cut(member: LocationPath) -> Optional[int]:
     """Index of the first spine step the automaton cannot carry past.
 
-    The lazy-DFA backend compiles the qualifier-free prefix of a member's
+    The lazy DFA compiles the qualifier-free prefix of a member's
     spine into automaton transitions and hands the rest to the expectation
     engine at a *gate*.  The cut is the first step that either carries
     qualifiers or navigates an axis outside :data:`AUTOMATON_SPINE_AXES`;
@@ -505,7 +505,7 @@ def automaton_split_member(member: LocationPath):
 
 
 def is_automaton_compilable(member: LocationPath) -> bool:
-    """Whether the lazy-DFA backend serves this member without falling back
+    """Whether the lazy DFA serves this member without falling back
     to the expectation engine from the very first step.
 
     Exact: mirrors the compiler — the member must split
@@ -519,7 +519,7 @@ def is_automaton_compilable(member: LocationPath) -> bool:
 
 
 def is_structurally_decided(path: PathExpr) -> bool:
-    """Whether the lazy-DFA backend answers ``path`` by accept sets alone.
+    """Whether the lazy DFA answers ``path`` by accept sets alone.
 
     True when every union member's spine uses only
     :data:`AUTOMATON_SPINE_AXES`, no step anywhere carries a qualifier,

@@ -17,19 +17,6 @@ settings.register_profile("ci", deadline=None, max_examples=40,
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
-@pytest.fixture(params=["expectations", "dfa"])
-def backend(request):
-    """Both structural dispatch backends of the streaming engine.
-
-    The differential regression suites (engine, broker, attribute
-    end-to-end) are parametrized over this fixture so every case pins the
-    lazy-DFA automaton against the expectation engine; tests about
-    engine-internal counters pin ``backend="expectations"`` explicitly
-    instead of using the fixture.
-    """
-    return request.param
-
-
 @pytest.fixture
 def figure1():
     """The document of Figure 1 of the paper."""

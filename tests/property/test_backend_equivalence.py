@@ -1,10 +1,12 @@
-"""Three-way differential property: lazy DFA == expectations == DOM.
+"""Three-way differential property: default route == expectations == DOM.
 
-The lazy-DFA backend (:mod:`repro.streaming.automaton`) must be a pure
-optimization: for *every* document and *every* subscription pool, its match
-sets and per-subscription verdicts have to coincide with the expectation
-engine's — and both with the DOM baseline, which evaluates the same compiled
-path on the materialized tree.  This suite drives all three over
+The lazy DFA (:mod:`repro.streaming.automaton`) must be a pure optimization:
+for *every* document and *every* subscription pool, the default route's
+match sets and per-subscription verdicts have to coincide with the
+expectation engine's — reached by forcing every union member onto the
+fallback trie (the ``forced_fallback`` seam of the root ``conftest.py``) —
+and both with the DOM baseline, which evaluates the same compiled path on
+the materialized tree.  This suite drives all three over
 
 * hypothesis-generated documents and query batches (attribute-free and
   attribute-bearing),
@@ -14,8 +16,8 @@ path on the materialized tree.  This suite drives all three over
   ``random_document``/``item_feed_document`` pools — 300+ query cases
   independent of the hypothesis profile,
 
-and additionally pins the session-reuse contract of the DFA backend: a
-broker session leaves every engine registry empty between documents and the
+and additionally pins the seam itself (with it active, nothing runs on the
+automaton) and the session-reuse contract of the automaton: a broker session leaves every engine registry empty between documents and the
 shared automaton's DFA state count stays stable across ``reset()`` once the
 transition table is warm.
 """
@@ -33,13 +35,17 @@ from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.generator import item_feed_document, random_document
 from repro.xmlmodel.parser import iter_events
 from repro.xmlmodel.serialize import to_xml
+from repro.xpath.ast import Bottom, iter_union_members
 from repro.xpath.cache import QueryCache
 
 from tests.property.strategies import documents, forward_absolute_paths
 
 SETTINGS = dict(deadline=None,
                 suppress_health_check=[HealthCheck.too_slow,
-                                       HealthCheck.filter_too_much])
+                                       HealthCheck.filter_too_much,
+                                       # ``forced_fallback`` is a stateless
+                                       # context-manager factory.
+                                       HealthCheck.function_scoped_fixture])
 
 #: One compile cache for the whole suite: the pools repeat queries, and
 #: compilation (parse + rewrite) is not what this suite tests.
@@ -67,23 +73,32 @@ feed_documents = st.builds(
     st.integers(min_value=0, max_value=50))
 
 
-def assert_three_way(document, queries):
-    """DFA == expectations == DOM, match sets and verdicts alike."""
-    events = list(document_events(document))
+def _index(queries) -> SubscriptionIndex:
     index = SubscriptionIndex(cache=COMPILE_CACHE)
     for position, query in enumerate(queries):
         index.add(query, key=position)
-    dfa = index.evaluate(events, backend="dfa")
-    expectations = index.evaluate(events, backend="expectations")
+    return index
+
+
+def assert_three_way(document, queries, forced_fallback):
+    """Default route == expectations == DOM, match sets and verdicts alike.
+
+    The two routes get separate indexes: an index caches its compiled
+    automaton."""
+    events = list(document_events(document))
+    index = _index(queries)
+    dfa = index.evaluate(events)
+    dfa_verdicts = index.evaluate(events, matches_only=True)
+    with forced_fallback():
+        reference = _index(queries)
+        expectations = reference.evaluate(events)
+        exp_verdicts = reference.evaluate(events, matches_only=True)
     for position, query in enumerate(queries):
         dom = dom_evaluate(index.subscriptions[position].path, events)
         assert dfa[position].node_ids == expectations[position].node_ids \
             == dom.node_ids, query
         assert dfa[position].matched == expectations[position].matched \
             == dom.matched, query
-    dfa_verdicts = index.evaluate(events, matches_only=True, backend="dfa")
-    exp_verdicts = index.evaluate(events, matches_only=True,
-                                  backend="expectations")
     for position, query in enumerate(queries):
         assert dfa_verdicts[position].matched \
             == exp_verdicts[position].matched \
@@ -92,25 +107,28 @@ def assert_three_way(document, queries):
 
 @given(document=documents(), queries=query_batches)
 @settings(max_examples=100, **SETTINGS)
-def test_three_way_equivalence_on_random_documents(document, queries):
-    assert_three_way(document, queries)
+def test_three_way_equivalence_on_random_documents(forced_fallback, document,
+                                                   queries):
+    assert_three_way(document, queries, forced_fallback)
 
 
 @given(document=attribute_documents, queries=query_batches)
 @settings(max_examples=100, **SETTINGS)
-def test_three_way_equivalence_on_attribute_documents(document, queries):
-    assert_three_way(document, queries)
+def test_three_way_equivalence_on_attribute_documents(forced_fallback,
+                                                      document, queries):
+    assert_three_way(document, queries, forced_fallback)
 
 
 @given(document=feed_documents,
        queries=st.lists(st.sampled_from(ATTRIBUTE_POOL + MIXED_POOL),
                         min_size=1, max_size=4))
 @settings(max_examples=60, **SETTINGS)
-def test_three_way_equivalence_on_item_feeds(document, queries):
-    assert_three_way(document, queries)
+def test_three_way_equivalence_on_item_feeds(forced_fallback, document,
+                                             queries):
+    assert_three_way(document, queries, forced_fallback)
 
 
-def test_three_way_equivalence_deterministic_pool():
+def test_three_way_equivalence_deterministic_pool(forced_fallback):
     """300+ generated query cases, independent of the hypothesis profile.
 
     Every query of the mixed pool (plus a slice of the attribute workload)
@@ -124,17 +142,47 @@ def test_three_way_equivalence_deterministic_pool():
     cases = 0
     for document in docs:
         events = list(document_events(document))
-        index = SubscriptionIndex(cache=COMPILE_CACHE)
-        for position, query in enumerate(pool):
-            index.add(query, key=position)
-        dfa = index.evaluate(events, backend="dfa")
-        expectations = index.evaluate(events, backend="expectations")
+        index = _index(pool)
+        dfa = index.evaluate(events)
+        with forced_fallback():
+            expectations = _index(pool).evaluate(events)
         for position, query in enumerate(pool):
             dom = dom_evaluate(index.subscriptions[position].path, events)
             assert dfa[position].node_ids == expectations[position].node_ids \
                 == dom.node_ids, (query, document is docs[0])
             cases += 1
     assert cases == 2 * len(pool) >= 300
+
+
+def test_forced_fallback_serves_every_member_on_the_expectation_engine(
+        forced_fallback):
+    """The seam the differential suites rely on really bypasses the
+    automaton: were its target renamed, the suites above would silently
+    compare the automaton with itself."""
+    pool = differential_query_pool(120, seed=3)
+    events = list(document_events(random_document(
+        attribute_probability=0.5, text_probability=0.3, seed=17)))
+    with forced_fallback():
+        index = _index(pool)
+        result = index.evaluate(events)
+        automaton, fallback_trie = index._built_automaton()
+    members = 0
+    for subscription in index.subscriptions:
+        for member in iter_union_members(subscription.path):
+            if isinstance(member, Bottom):
+                continue
+            node = fallback_trie
+            for step in member.steps:
+                node = node.children[step]
+            assert subscription.ordinal in node.terminals, subscription.source
+            members += 1
+    assert members >= len(pool)
+    # No materialized DFA state delivers or gates anything.
+    assert automaton.state_count() > 0
+    assert all(automaton.accepts(state) == ((), ())
+               for state in range(automaton.state_count()))
+    assert result.stats.expectations_created > 0
+    assert result.matching_keys
 
 
 class TestBrokerSessionReuse:
@@ -150,13 +198,13 @@ class TestBrokerSessionReuse:
     def test_registries_empty_and_state_count_stable(self):
         index = SubscriptionIndex(dict(enumerate(self.QUERIES)),
                                   cache=COMPILE_CACHE)
-        broker = DocumentBroker(index, backend="dfa")
+        broker = DocumentBroker(index)
         docs = self._documents()
         counts = []
         for round_index, document in enumerate(docs + docs):
             text = to_xml(document, indent=0)
             result = broker.submit(f"doc-{round_index}", text)
-            fresh = index.evaluate(list(iter_events(text)), backend="dfa")
+            fresh = index.evaluate(list(iter_events(text)))
             for position in range(len(self.QUERIES)):
                 assert result[position].node_ids == fresh[position].node_ids
             sizes = broker.session.registry_sizes()
@@ -171,7 +219,7 @@ class TestBrokerSessionReuse:
     def test_warm_session_runs_entirely_from_the_transition_cache(self):
         index = SubscriptionIndex(dict(enumerate(self.QUERIES)),
                                   cache=COMPILE_CACHE)
-        broker = DocumentBroker(index, backend="dfa")
+        broker = DocumentBroker(index)
         text = to_xml(self._documents()[0], indent=0)
         broker.submit("cold", text)
         warm = broker.submit("warm", text)

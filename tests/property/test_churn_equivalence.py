@@ -3,8 +3,9 @@
 For random documents, random query pools, and a random interleaving of
 ``add_subscription`` / ``remove_subscription`` / ``evaluate`` operations on
 one long-lived :class:`SubscriptionIndex`, the final evaluation must equal
-a *fresh-compiled* index over the surviving subscription set — three-way,
-on both streaming backends and against the DOM reference.  Churn (shared
+a *fresh-compiled* index over the surviving subscription set — on both
+engine routes (the ``route`` fixture: default, and every member forced onto
+the fallback trie) and against the DOM reference.  Churn (shared
 automaton mutation, targeted DFA invalidation, ordinal retirement, deferred
 vacuum) is a pure optimization: it may never change an answer.
 """
@@ -21,7 +22,10 @@ from tests.property.strategies import documents, forward_absolute_paths
 
 SETTINGS = dict(deadline=None,
                 suppress_health_check=[HealthCheck.too_slow,
-                                       HealthCheck.filter_too_much])
+                                       HealthCheck.filter_too_much,
+                                       # ``route`` holds for the whole test,
+                                       # every example included.
+                                       HealthCheck.function_scoped_fixture])
 
 #: One churn script: which pool queries start registered, then a sequence
 #: of (op, pool position) steps over a pool of candidate queries.
@@ -55,7 +59,7 @@ def _apply_script(index, script, pool, events):
        script=churn_scripts)
 @settings(max_examples=60, **SETTINGS)
 def test_churned_index_equals_fresh_index_over_survivors(
-        document, pool, initial, script):
+        route, document, pool, initial, script):
     events = list(document_events(document))
     index = SubscriptionIndex(
         {key: pool[key] for key in range(initial % (len(pool) + 1))})
@@ -63,19 +67,18 @@ def test_churned_index_equals_fresh_index_over_survivors(
 
     survivors = {s.key: pool[s.key] for s in index.subscriptions}
     fresh = SubscriptionIndex(survivors)
-    for backend in ("dfa", "expectations"):
-        churned_result = index.evaluate(events, backend=backend)
-        fresh_result = fresh.evaluate(events, backend=backend)
-        assert sorted(churned_result.matching_keys) \
-            == sorted(fresh_result.matching_keys), backend
-        for key in survivors:
-            assert churned_result[key].node_ids \
-                == fresh_result[key].node_ids, (backend, key)
-            # The DOM reference closes the three-way loop.
-            compiled = next(s.path for s in index.subscriptions
-                            if s.key == key)
-            assert churned_result[key].node_ids == select_positions(
-                compiled, document), (backend, key)
+    churned_result = index.evaluate(events)
+    fresh_result = fresh.evaluate(events)
+    assert sorted(churned_result.matching_keys) \
+        == sorted(fresh_result.matching_keys)
+    for key in survivors:
+        assert churned_result[key].node_ids \
+            == fresh_result[key].node_ids, key
+        # The DOM reference closes the three-way loop.
+        compiled = next(s.path for s in index.subscriptions
+                        if s.key == key)
+        assert churned_result[key].node_ids == select_positions(
+            compiled, document), key
 
 
 @given(document=documents(),

@@ -3,8 +3,9 @@
 For random documents and random subscription batches, the substream
 delivery mode must hand every subscription exactly the bytes you would get
 by evaluating its query on the fully built DOM and re-serializing each
-answer subtree in document order — regardless of the structural backend
-(lazy DFA vs expectation engine) and regardless of how the document's XML
+answer subtree in document order — on both engine routes (the ``route``
+fixture: default, and every member forced onto the fallback trie, i.e. the
+expectation engine) and regardless of how the document's XML
 text is chunked on its way into the broker (the tee operates on the event
 stream, after tokenization).
 
@@ -39,9 +40,11 @@ from tests.property.strategies import (
 
 SETTINGS = dict(deadline=None,
                 suppress_health_check=[HealthCheck.too_slow,
-                                       HealthCheck.filter_too_much])
+                                       HealthCheck.filter_too_much,
+                                       # ``route`` holds for the whole test,
+                                       # every example included.
+                                       HealthCheck.function_scoped_fixture])
 
-BACKENDS = ("dfa", "expectations")
 CHUNK_SIZES = (1, 7, 64, 10_000)
 
 forward_batches = st.lists(forward_absolute_paths(), min_size=1, max_size=3)
@@ -98,27 +101,26 @@ def _assert_substream_equals_dom(document, queries):
                                        canonical).node_ids)
         for position in range(len(queries))
     }
-    for backend in BACKENDS:
-        for chunk_size in CHUNK_SIZES:
-            broker = DocumentBroker(index, backend=backend,
-                                    delivery=SubstreamDelivery())
-            result = broker.submit("doc", _chunked(xml_text, chunk_size))
-            for position, query in enumerate(queries):
-                assert result[position].payload == expected[position], (
-                    backend, chunk_size, query)
-            session = broker.session
-            assert session.registry_sizes()["open_capture_windows"] == 0
+    for chunk_size in CHUNK_SIZES:
+        broker = DocumentBroker(index, delivery=SubstreamDelivery())
+        result = broker.submit("doc", _chunked(xml_text, chunk_size))
+        for position, query in enumerate(queries):
+            assert result[position].payload == expected[position], (
+                chunk_size, query)
+        session = broker.session
+        assert session.registry_sizes()["open_capture_windows"] == 0
 
 
 @given(document=documents(), queries=forward_batches)
 @settings(max_examples=30, **SETTINGS)
-def test_substream_equals_dom_answer_subtrees(document, queries):
+def test_substream_equals_dom_answer_subtrees(route, document, queries):
     _assert_substream_equals_dom(document, queries)
 
 
 @given(document=documents(), queries=reverse_batches)
 @settings(max_examples=15, **SETTINGS)
-def test_substream_equals_dom_after_reverse_axis_rewriting(document, queries):
+def test_substream_equals_dom_after_reverse_axis_rewriting(route, document,
+                                                           queries):
     """Reverse-axis subscriptions are rewritten on entry; the payloads must
     still be the rewritten query's DOM answers, byte for byte."""
     _assert_substream_equals_dom(document, queries)

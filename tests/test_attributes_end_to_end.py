@@ -157,27 +157,25 @@ class TestAttributeSyntax:
 # ---------------------------------------------------------------------------
 
 class TestStreamingEqualsDom:
-    def test_attribute_workload(self, feed, feed_events, backend):
+    def test_attribute_workload(self, feed, feed_events, route):
         cache = QueryCache()
         for query in attribute_subscription_workload(60, seed=5, item_ids=12):
             compiled = cache.compile(query)
             expected = select_positions(parse_xpath(query), feed)
-            got = stream_evaluate(compiled, feed_events,
-                                  backend=backend).node_ids
+            got = stream_evaluate(compiled, feed_events).node_ids
             assert got == expected, (query, got, expected)
 
     def test_attribute_steps_at_every_position(self, feed, feed_events,
-                                               backend):
+                                               route):
         for query in ("//item/@id",
                       "/descendant::item/attribute::*",
                       "//item/@id/self::node()",
                       '//item[@id="7"]/@category',
                       "//price[@currency][. = //price/text()]"):
             expected = select_positions(parse_xpath(query), feed)
-            assert stream_evaluate(query, feed_events,
-                                   backend=backend).node_ids == expected
+            assert stream_evaluate(query, feed_events).node_ids == expected
 
-    def test_subscription_index_and_text_front_end(self, feed, backend):
+    def test_subscription_index_and_text_front_end(self, feed, route):
         # End to end through the *text* front end: serialize, re-tokenize
         # (attributes parsed from the tags), match.
         xml_text = to_xml(feed, indent=0)
@@ -189,20 +187,20 @@ class TestStreamingEqualsDom:
             "reverse": '//price[@currency="EUR"]/parent::item',
         }
         index = SubscriptionIndex(subscriptions)
-        result = index.evaluate(iter(events), backend=backend)
+        result = index.evaluate(iter(events))
         rebuilt = build_document(iter(events))
         for row in result:
             expected = select_positions(parse_xpath(subscriptions[row.key]),
                                         rebuilt)
             assert row.node_ids == expected, row.key
 
-    def test_broker_with_chunked_attribute_documents(self, feed, backend):
+    def test_broker_with_chunked_attribute_documents(self, feed, route):
         xml_text = to_xml(feed, indent=0)
         chunks = [xml_text[i:i + 17] for i in range(0, len(xml_text), 17)]
         broker = DocumentBroker({
             "books": '//item[@category="books"]',
             "flagged": '//item[@featured="yes"]/title',
-        }, backend=backend)
+        })
         result = broker.submit("doc-1", chunks)
         assert result["books"].node_ids == \
             select_positions(parse_xpath('//item[@category="books"]'), feed)
@@ -212,19 +210,19 @@ class TestStreamingEqualsDom:
         assert all(size == 0 for size in sizes.values()), sizes
 
     def test_attribute_qualifiers_decide_at_start_element(self, feed_events,
-                                                          backend):
+                                                          route):
         # Verdict-only matching halts as soon as every subscription is
         # decided; an [@a="v"] qualifier is decided AT the StartElement that
         # carries the attribute, so the session never consumes the rest.
         index = SubscriptionIndex({"first": '//item[@id="0"]'})
-        matcher = index.matcher(matches_only=True, backend=backend)
+        matcher = index.matcher(matches_only=True)
         result = matcher.process(feed_events)
         assert result["first"].matched
         assert matcher.halted
         assert matcher.stats.events_skipped > 0
 
-    def test_attributes_seen_counter(self, feed, feed_events, backend):
-        result = stream_evaluate("//item/@id", feed_events, backend=backend)
+    def test_attributes_seen_counter(self, feed, feed_events, route):
+        result = stream_evaluate("//item/@id", feed_events)
         assert result.stats.attributes_seen == feed.stats()["attributes"]
 
 

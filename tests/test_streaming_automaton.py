@@ -1,14 +1,21 @@
-"""Unit tests of the lazy-DFA backend (repro.streaming.automaton)."""
+"""Unit tests of the lazy-DFA structural dispatch (repro.streaming.automaton).
+
+Comparisons against the expectation engine build the reference side inside
+the ``forced_fallback`` seam (root ``conftest.py``), which routes every
+union member through the fallback trie."""
 
 import pytest
 
 from repro.errors import StreamingError
-from repro.streaming import DocumentBroker, SubscriptionIndex, stream_evaluate
+from repro.streaming import (
+    DocumentBroker,
+    SubscriptionIndex,
+    dom_evaluate,
+    stream_evaluate,
+)
 from repro.streaming.automaton import (
-    BACKEND_ENV_VAR,
     DEFAULT_TRANSITION_CAP,
     compile_subscription_automaton,
-    resolve_backend,
 )
 from repro.streaming.matcher import StreamingMatcher
 from repro.xmlmodel.builder import document_events
@@ -22,50 +29,6 @@ from repro.xmlmodel.generator import (
 from repro.xpath import analysis
 from repro.xpath.axes import Axis
 from repro.xpath.parser import parse_xpath
-
-
-class TestBackendResolution:
-    def test_explicit_backends(self):
-        assert resolve_backend("dfa") == "dfa"
-        assert resolve_backend("expectations") == "expectations"
-
-    def test_default_is_dfa(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend(None) == "dfa"
-
-    def test_empty_environment_value_means_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "")
-        assert resolve_backend(None) == "dfa"
-
-    def test_environment_variable_overrides_the_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "expectations")
-        assert resolve_backend(None) == "expectations"
-        # An explicit argument still wins over the environment.
-        assert resolve_backend("dfa") == "dfa"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(StreamingError, match="unknown streaming backend"):
-            resolve_backend("nfa")
-
-    def test_unknown_environment_backend_rejected_naming_the_variable(
-            self, monkeypatch):
-        # The same error fires whether the bad value came from the caller
-        # or the environment; only the environment names its source.
-        monkeypatch.setenv(BACKEND_ENV_VAR, "nfa")
-        with pytest.raises(StreamingError,
-                           match=f"unknown streaming backend 'nfa' "
-                                 f"\\(from {BACKEND_ENV_VAR}\\)"):
-            resolve_backend(None)
-        with pytest.raises(StreamingError) as caller_error:
-            resolve_backend("nfa")
-        assert BACKEND_ENV_VAR not in str(caller_error.value)
-
-    def test_matcher_exposes_its_backend(self):
-        index = SubscriptionIndex({"q": "/descendant::a"})
-        assert index.matcher(backend="dfa").backend == "dfa"
-        assert index.matcher(backend="expectations").backend == "expectations"
-        assert StreamingMatcher(parse_xpath("/child::a"),
-                                backend="dfa").backend == "dfa"
 
 
 #: Adversarial named descendant-or-self chains: k repetitions compile to
@@ -192,10 +155,10 @@ class TestCompilation:
         assert len(fallback[2]) == 1
         assert automaton.state_count() >= 2  # dead + start
 
-    def test_alternative_explosion_falls_back(self):
+    def test_alternative_explosion_falls_back(self, forced_fallback):
         # Named descendant-or-self chains fork a shared-prefix alternative
         # per step; past the limit the member routes to the expectation
-        # engine — and both backends still agree.
+        # engine — and both routes still agree.
         _automaton, fallback = compile_subscription_automaton(
             [(0, parse_xpath(DOS_CHAIN_65))])
         assert 0 in fallback
@@ -203,9 +166,9 @@ class TestCompilation:
             element("a", element("a", element("a"))))
         events = list(document_events(document))
         for query in (DOS_CHAIN_64, DOS_CHAIN_65, "//a" * 8):
-            assert stream_evaluate(query, events, backend="dfa").node_ids \
-                == stream_evaluate(query, events,
-                                   backend="expectations").node_ids, query
+            with forced_fallback():
+                reference = stream_evaluate(query, events).node_ids
+            assert stream_evaluate(query, events).node_ids == reference, query
 
     def test_trie_sharing_keeps_shared_prefix_fragments_linear(self):
         # The 64 alternatives of the dos-chain share prefixes pairwise; the
@@ -239,12 +202,12 @@ class TestCompilation:
         assert fallback == {}
         document = Document.from_tree(element("a", text("x"), element("a")))
         result = stream_evaluate("/child::text()/child::a",
-                                 document_events(document), backend="dfa")
+                                 document_events(document))
         assert result.node_ids == []
 
     def test_describe_reports_sizes(self):
         index = SubscriptionIndex({"q": "/descendant::a/child::b"})
-        matcher = index.matcher(backend="dfa")
+        matcher = index.matcher()
         document = Document.from_tree(element("a", element("b")))
         matcher.process(document_events(document))
         figures = matcher._automaton.describe()
@@ -260,12 +223,12 @@ class TestLazyMaterialization:
         document = Document.from_tree(
             element("a", element("b"), element("c", element("a", element("b")))))
         events = list(document_events(document))
-        first = index.matcher(backend="dfa")
+        first = index.matcher()
         first.process(events)
         assert first.stats.dfa_states_materialized > 0
         assert first.stats.transition_cache_lookups > 0
         # A second matcher over the same index shares the warmed automaton.
-        second = index.matcher(backend="dfa")
+        second = index.matcher()
         second.process(events)
         assert second.stats.dfa_states_materialized == 0
         assert (second.stats.transition_cache_hits
@@ -280,8 +243,8 @@ class TestLazyMaterialization:
         queries = {f"q{i}": f"/child::db/child::t{i:02d}" for i in range(8)}
         capped = SubscriptionIndex(queries, dfa_transition_cap=16)
         roomy = SubscriptionIndex(queries)
-        capped_result = capped.evaluate(events, backend="dfa")
-        roomy_result = roomy.evaluate(events, backend="dfa")
+        capped_result = capped.evaluate(events)
+        roomy_result = roomy.evaluate(events)
         for key in queries:
             assert capped_result[key].node_ids == roomy_result[key].node_ids
         assert capped_result.stats.transition_cache_evictions > 0
@@ -302,7 +265,7 @@ class TestLazyMaterialization:
                        itertools.permutations(tags, 2), 24))}
         capped = SubscriptionIndex(queries, dfa_transition_cap=16)
         reference = SubscriptionIndex(queries)
-        broker = DocumentBroker(capped, backend="dfa")
+        broker = DocumentBroker(capped)
         rng = random.Random(5)
         flushed_stats = None
         for round_index in range(80):
@@ -313,7 +276,7 @@ class TestLazyMaterialization:
             events = list(document_events(Document.from_tree(node)))
             result = broker.submit(round_index, to_xml(
                 Document.from_tree(node), indent=0))
-            fresh = reference.evaluate(events, backend="dfa")
+            fresh = reference.evaluate(events)
             for key in queries:
                 assert result[key].node_ids == fresh[key].node_ids, key
             automaton = broker.session._automaton
@@ -338,7 +301,7 @@ class TestLazyMaterialization:
                        itertools.permutations(tags, 2), 24))}
         import random
         index = SubscriptionIndex(queries, dfa_transition_cap=16)
-        broker = DocumentBroker(index, backend="dfa")
+        broker = DocumentBroker(index)
         evicted = flushed = 0
         rng = random.Random(5)
         for round_index in range(80):
@@ -359,7 +322,7 @@ class TestLazyMaterialization:
         index = SubscriptionIndex({"q": "/child::nosuch/descendant::a"})
         document = Document.from_tree(
             element("r", element("a", element("a")), element("a")))
-        matcher = index.matcher(backend="dfa")
+        matcher = index.matcher()
         matcher.process(list(document_events(document)))
         # Only the root element's transition is ever computed; the children
         # inherit the dead state without a lookup.
@@ -367,16 +330,18 @@ class TestLazyMaterialization:
 
 
 class TestQualifierGating:
-    def test_expectations_spawn_only_at_structural_matches(self):
+    def test_expectations_spawn_only_at_structural_matches(
+            self, forced_fallback):
         # 40 journals, but only journal elements can open the gate of
         # //journal[child::price]: the expectation engine spawns per event,
-        # the DFA backend once per journal.
+        # the automaton once per journal.
         document = journal_document(journals=40, articles_per_journal=2,
                                     authors_per_article=2, seed=5)
         events = list(document_events(document))
         query = "/descendant::journal[child::price]/child::title"
-        gated = StreamingMatcher(parse_xpath(query), backend="dfa")
-        full = StreamingMatcher(parse_xpath(query), backend="expectations")
+        gated = StreamingMatcher(parse_xpath(query))
+        with forced_fallback():
+            full = StreamingMatcher(parse_xpath(query))
         assert gated.process(events) == full.process(events)
         assert 0 < gated.stats.expectations_created
         assert (gated.stats.expectations_created
@@ -385,27 +350,29 @@ class TestQualifierGating:
     def test_structurally_decided_subscriptions_spawn_nothing(self):
         document = journal_document(journals=10, seed=3)
         events = list(document_events(document))
-        matcher = StreamingMatcher(parse_xpath("/descendant::journal/child::title"),
-                                   backend="dfa")
+        matcher = StreamingMatcher(parse_xpath("/descendant::journal/child::title"))
         result = matcher.process(events)
         assert result
         assert matcher.stats.expectations_created == 0
         assert matcher.stats.conditions_created == 0
 
-    def test_sibling_windows_run_without_expectations(self):
+    def test_sibling_windows_run_without_expectations(self,
+                                                      forced_fallback):
         # //title/following-sibling::price used to hand over to the
         # expectation engine mid-spine; the sibling window now compiles and
         # the whole query is decided by the automaton alone.
         document = journal_document(journals=6, seed=2)
         events = list(document_events(document))
         query = "/descendant::title/following-sibling::price"
-        dfa = stream_evaluate(query, events, backend="dfa")
-        exp = stream_evaluate(query, events, backend="expectations")
+        dfa = stream_evaluate(query, events)
+        with forced_fallback():
+            exp = stream_evaluate(query, events)
         assert dfa.node_ids == exp.node_ids != []
         assert dfa.stats.expectations_created == 0
         assert exp.stats.expectations_created > 0
 
-    def test_window_step_with_qualifiers_gates_at_the_window(self):
+    def test_window_step_with_qualifiers_gates_at_the_window(
+            self, forced_fallback):
         # Qualifiers on a sibling-axis step gate like on any other step:
         # the window itself runs on the automaton, only nodes reaching it
         # spawn the qualifier machinery.
@@ -415,8 +382,9 @@ class TestQualifierGating:
                        element("b"))
         events = list(document_events(Document.from_tree(tree)))
         query = "/r/a/following-sibling::b[child::c]"
-        dfa = stream_evaluate(query, events, backend="dfa")
-        exp = stream_evaluate(query, events, backend="expectations")
+        dfa = stream_evaluate(query, events)
+        with forced_fallback():
+            exp = stream_evaluate(query, events)
         assert dfa.node_ids == exp.node_ids != []
         assert len(dfa.node_ids) == 1
         # Only the two structurally-reaching b siblings built conditions.
@@ -426,7 +394,7 @@ class TestQualifierGating:
         feed = item_feed_document(items=20, seed=7)
         events = list(document_events(feed))
         index = SubscriptionIndex({"first": '//item[@id="0"]'})
-        matcher = index.matcher(matches_only=True, backend="dfa")
+        matcher = index.matcher(matches_only=True)
         result = matcher.process(events)
         assert result["first"].matched
         assert matcher.halted
@@ -436,61 +404,67 @@ class TestQualifierGating:
 class TestSiblingWindows:
     """Close-event arming semantics of compiled following/following-sibling."""
 
-    def _both(self, query, tree):
-        events = list(document_events(Document.from_tree(tree)))
-        dfa = stream_evaluate(query, events, backend="dfa")
-        exp = stream_evaluate(query, events, backend="expectations")
-        assert dfa.node_ids == exp.node_ids, query
-        return dfa
+    @pytest.fixture
+    def both(self, forced_fallback):
+        """Evaluate on both routes; they must agree with the DOM oracle."""
+        def run(query, tree):
+            events = list(document_events(Document.from_tree(tree)))
+            dfa = stream_evaluate(query, events)
+            with forced_fallback():
+                exp = stream_evaluate(query, events)
+            dom = dom_evaluate(query, events)
+            assert dfa.node_ids == exp.node_ids == dom.node_ids, query
+            return dfa
+        return run
 
-    def test_sibling_window_expires_when_the_parent_closes(self):
+    def test_sibling_window_expires_when_the_parent_closes(self, both):
         # The second b is a sibling of the anchor; the third lives outside
         # the anchor's parent and must not match.
         tree = element("r",
                        element("p", element("a"), element("b")),
                        element("b"))
-        result = self._both("//a/following-sibling::b", tree)
+        result = both("//a/following-sibling::b", tree)
         assert len(result.node_ids) == 1
 
-    def test_sibling_window_skips_preceding_siblings(self):
+    def test_sibling_window_skips_preceding_siblings(self, both):
         tree = element("r", element("b"), element("a"), element("b"))
-        result = self._both("/r/a/following-sibling::b", tree)
+        result = both("/r/a/following-sibling::b", tree)
         assert len(result.node_ids) == 1
 
-    def test_following_window_stays_armed_across_depths(self):
+    def test_following_window_stays_armed_across_depths(self, both):
         # following::b matches everything after the anchor's close,
         # whatever the depth.
         tree = element("r",
                        element("p", element("a"), element("b")),
                        element("q", element("b")),
                        element("b"))
-        result = self._both("//a/following::b", tree)
+        result = both("//a/following::b", tree)
         assert len(result.node_ids) == 3
 
-    def test_following_excludes_the_anchors_own_subtree(self):
+    def test_following_excludes_the_anchors_own_subtree(self, both):
         tree = element("r",
                        element("a", element("b")),
                        element("b"))
-        result = self._both("//a/following::b", tree)
+        result = both("//a/following::b", tree)
         assert len(result.node_ids) == 1
 
-    def test_root_anchored_windows_are_empty(self):
+    def test_root_anchored_windows_are_empty(self, both):
         tree = element("r", element("a"))
-        assert self._both("/following::a", tree).node_ids == []
-        assert self._both("/following-sibling::a", tree).node_ids == []
+        assert both("/following::a", tree).node_ids == []
+        assert both("/following-sibling::a", tree).node_ids == []
 
-    def test_text_anchors_arm_at_the_text_event(self):
+    def test_text_anchors_arm_at_the_text_event(self, both):
         # Text nodes have no close event; their windows arm immediately.
         tree = element("r", text("x"), element("b"))
-        assert len(self._both("//following::b", tree).node_ids) == 1
-        assert len(self._both(
+        assert len(both("//following::b", tree).node_ids) == 1
+        assert len(both(
             "//text()/following-sibling::b", tree).node_ids) == 1
 
-    def test_windows_continue_into_ordinary_steps(self):
+    def test_windows_continue_into_ordinary_steps(self, both):
         tree = element("r",
                        element("a"),
                        element("b", element("c"), element("d")))
-        result = self._both("/r/a/following-sibling::b/c", tree)
+        result = both("/r/a/following-sibling::b/c", tree)
         assert len(result.node_ids) == 1
 
     def test_first_step_window_members_run_without_wholesale_fallback(self):
@@ -507,7 +481,7 @@ class TestSiblingWindows:
     def test_window_queries_leave_no_expectation_residue(self):
         index = SubscriptionIndex({0: "//a/following::b",
                                    1: "/r/a/following-sibling::b"})
-        matcher = index.matcher(backend="dfa")
+        matcher = index.matcher()
         tree = element("r", element("a"), element("b"))
         matcher.process(list(document_events(Document.from_tree(tree))))
         assert matcher.stats.expectations_created == 0
@@ -518,16 +492,15 @@ class TestSiblingWindows:
 class TestRootAccepts:
     def test_root_only_path(self):
         document = Document.from_tree(element("a"))
-        assert stream_evaluate("/", document_events(document),
-                               backend="dfa").node_ids == [0]
+        assert stream_evaluate("/", document_events(document)).node_ids == [0]
 
-    def test_root_gate(self):
+    def test_root_gate(self, forced_fallback):
         # A qualifier on the very first step gates at the document root.
         document = Document.from_tree(element("a", element("b")))
         events = list(document_events(document))
         for query in ("/descendant-or-self::node()[child::a]",
                       "/child::a[child::b]"):
-            dfa = stream_evaluate(query, events, backend="dfa").node_ids
-            exp = stream_evaluate(query, events,
-                                  backend="expectations").node_ids
+            dfa = stream_evaluate(query, events).node_ids
+            with forced_fallback():
+                exp = stream_evaluate(query, events).node_ids
             assert dfa == exp, query

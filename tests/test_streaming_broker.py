@@ -40,26 +40,24 @@ class TestDifferential:
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 64, 10_000])
     def test_results_match_fresh_evaluate_per_document(self, chunk_size,
-                                                      backend):
-        broker = DocumentBroker(SUBSCRIPTIONS, backend=backend)
+                                                      route):
+        broker = DocumentBroker(SUBSCRIPTIONS)
         index = SubscriptionIndex(SUBSCRIPTIONS)
         for name, document in _documents().items():
             text = to_xml(document, indent=0)
             result = broker.submit(name, _chunked(text, chunk_size))
-            fresh = index.evaluate(list(iter_events(text)), backend=backend)
+            fresh = index.evaluate(list(iter_events(text)))
             for key in SUBSCRIPTIONS:
                 assert result[key].node_ids == fresh[key].node_ids, (name, key)
                 assert result[key].matched == fresh[key].matched, (name, key)
 
-    def test_verdict_mode_matches_fresh_evaluate(self, backend):
-        broker = DocumentBroker(SUBSCRIPTIONS, matches_only=True,
-                                backend=backend)
+    def test_verdict_mode_matches_fresh_evaluate(self, route):
+        broker = DocumentBroker(SUBSCRIPTIONS, matches_only=True)
         index = SubscriptionIndex(SUBSCRIPTIONS)
         for name, document in _documents().items():
             text = to_xml(document, indent=0)
             result = broker.submit(name, _chunked(text, 32))
-            fresh = index.evaluate(list(iter_events(text)), matches_only=True,
-                                   backend=backend)
+            fresh = index.evaluate(list(iter_events(text)), matches_only=True)
             for key in SUBSCRIPTIONS:
                 assert result[key].matched == fresh[key].matched, (name, key)
 
@@ -93,8 +91,8 @@ class TestDifferential:
 
 
 class TestSessionReuse:
-    def test_registries_empty_between_submits(self, backend):
-        broker = DocumentBroker(SUBSCRIPTIONS, backend=backend)
+    def test_registries_empty_between_submits(self, route):
+        broker = DocumentBroker(SUBSCRIPTIONS)
         for name, document in _documents().items():
             broker.submit(name, _chunked(to_xml(document, indent=0), 16))
             sizes = broker.session.registry_sizes()
@@ -120,11 +118,11 @@ class TestSessionReuse:
         assert broker.stats.events_skipped == result.stats.events_skipped
         assert broker.history[-1].events_skipped == result.stats.events_skipped
 
-    def test_registries_empty_after_early_termination(self, backend):
+    def test_registries_empty_after_early_termination(self, route):
         # All subscriptions decided early: the session halts mid-document and
         # must still come back clean for the next submit.
         broker = DocumentBroker({"j": "/descendant::journal"},
-                                matches_only=True, backend=backend)
+                                matches_only=True)
         big = journal_document(journals=30, articles_per_journal=3,
                                authors_per_article=2, seed=7)
         result = broker.submit("big", _chunked(to_xml(big, indent=0), 64))
@@ -137,9 +135,8 @@ class TestSessionReuse:
         no_match = broker.submit("empty", "<article><name>n</name></article>")
         assert not no_match["j"].matched
 
-    def test_results_do_not_leak_across_documents(self, backend):
-        broker = DocumentBroker({"names": "/descendant::name"},
-                                backend=backend)
+    def test_results_do_not_leak_across_documents(self, route):
+        broker = DocumentBroker({"names": "/descendant::name"})
         with_names = journal_document(journals=1, articles_per_journal=1,
                                       authors_per_article=2, seed=1)
         first = broker.submit("with", to_xml(with_names, indent=0))
@@ -155,14 +152,21 @@ class TestSessionReuse:
         broker.submit("b", "<journal><name>n</name></journal>")
         assert broker.session is session
 
-    def test_adding_a_subscription_rebuilds_the_session(self):
+    def test_adding_a_subscription_reuses_the_session(self, route):
+        # add()/add_many() bump the index version; the next checkout syncs
+        # the running session instead of building a fresh one.
         broker = DocumentBroker({"names": "/descendant::name"})
         broker.submit("a", "<journal><name>n</name></journal>")
         session = broker.session
         broker.add("/descendant::title", key="titles")
         result = broker.submit("b", "<journal><title>t</title></journal>")
-        assert broker.session is not session
-        assert result["titles"].matched
+        assert broker.session is session
+        assert result.matching_keys == ["titles"]
+        broker.add_many({"prices": "/descendant::price"})
+        result = broker.submit(
+            "c", "<journal><name>n</name><price>1</price></journal>")
+        assert broker.session is session
+        assert result.matching_keys == ["names", "prices"]
 
     def test_externally_supplied_index_cannot_be_mutated_through_broker(self):
         # A caller-supplied index may be shared with other brokers, which
@@ -176,9 +180,8 @@ class TestSessionReuse:
             broker.add_many({"titles": "/descendant::title"})
         assert len(index) == 1
 
-    def test_malformed_document_leaves_a_working_broker(self, backend):
-        broker = DocumentBroker({"names": "/descendant::name"},
-                                backend=backend)
+    def test_malformed_document_leaves_a_working_broker(self, route):
+        broker = DocumentBroker({"names": "/descendant::name"})
         with pytest.raises(XMLSyntaxError):
             broker.submit("bad", "<journal><name>n</name>")
         # The poisoned stream state is cleared; the next submit works.
@@ -187,13 +190,13 @@ class TestSessionReuse:
         assert broker.stats.documents == 1  # the failed submit is not counted
 
     def test_submit_after_mid_document_error_equals_fresh_evaluate(
-            self, backend):
+            self, route):
         # Regression: a tokenizer error mid-document used to discard the
         # whole session; it must now be salvaged — and whether salvaged or
         # rebuilt, the *next* submit has to answer exactly like a fresh
         # SubscriptionIndex.evaluate, with no state leaking from the dead
         # document.
-        broker = DocumentBroker(SUBSCRIPTIONS, backend=backend)
+        broker = DocumentBroker(SUBSCRIPTIONS)
         index = SubscriptionIndex(SUBSCRIPTIONS)
         good = to_xml(journal_document(journals=2, articles_per_journal=2,
                                        authors_per_article=2, seed=6),
@@ -208,7 +211,7 @@ class TestSessionReuse:
         sizes = broker.session.registry_sizes()
         assert all(size == 0 for size in sizes.values()), sizes
         result = broker.submit("after-error", _chunked(good, 32))
-        fresh = index.evaluate(list(iter_events(good)), backend=backend)
+        fresh = index.evaluate(list(iter_events(good)))
         for key in SUBSCRIPTIONS:
             assert result[key].node_ids == fresh[key].node_ids, key
             assert result[key].matched == fresh[key].matched, key
@@ -216,11 +219,10 @@ class TestSessionReuse:
         assert broker.session is session
         assert broker.stats.documents == 2
 
-    def test_error_on_first_event_of_a_session(self, backend):
+    def test_error_on_first_event_of_a_session(self, route):
         # The error path also holds before the session ever finished a
         # document (nothing to salvage *from*).
-        broker = DocumentBroker({"names": "/descendant::name"},
-                                backend=backend)
+        broker = DocumentBroker({"names": "/descendant::name"})
         with pytest.raises(XMLSyntaxError):
             broker.submit("bad", "<a><b></a></b>")
         result = broker.submit("good", "<journal><name>n</name></journal>")
@@ -232,9 +234,8 @@ class TestLiveChurn:
 
     DOC = "<journal><name>n</name><title>t</title></journal>"
 
-    def test_subscribe_takes_effect_next_submit(self, backend):
-        broker = DocumentBroker({"names": "/descendant::name"},
-                                backend=backend)
+    def test_subscribe_takes_effect_next_submit(self, route):
+        broker = DocumentBroker({"names": "/descendant::name"})
         broker.submit("a", self.DOC)
         session = broker.session
         broker.subscribe("titles", "/descendant::title")
@@ -244,8 +245,8 @@ class TestLiveChurn:
         # The session was extended incrementally, not rebuilt.
         assert broker.session is session
 
-    def test_unsubscribe_stops_deliveries(self, backend):
-        broker = DocumentBroker(dict(SUBSCRIPTIONS), backend=backend)
+    def test_unsubscribe_stops_deliveries(self, route):
+        broker = DocumentBroker(dict(SUBSCRIPTIONS))
         before = broker.submit("a", self.DOC)
         assert before["names"].matched
         broker.unsubscribe("names")
@@ -260,20 +261,20 @@ class TestLiveChurn:
         with pytest.raises(KeyError):
             broker.unsubscribe("nope")
 
-    def test_churn_on_shared_index_is_allowed(self, backend):
+    def test_churn_on_shared_index_is_allowed(self, route):
         # Unlike add(), live churn is version-checked: every broker on the
         # shared index syncs at its own next submit.
         index = SubscriptionIndex({"names": "/descendant::name"})
-        first = DocumentBroker(index, backend=backend)
-        second = DocumentBroker(index, backend=backend)
+        first = DocumentBroker(index)
+        second = DocumentBroker(index)
         first.submit("a", self.DOC)
         second.submit("a", self.DOC)
         first.subscribe("titles", "/descendant::title")
         assert second.submit("b", self.DOC)["titles"].matched
         assert first.submit("b", self.DOC)["titles"].matched
 
-    def test_vacuum_forces_a_fresh_session(self, backend):
-        broker = DocumentBroker(dict(SUBSCRIPTIONS), backend=backend)
+    def test_vacuum_forces_a_fresh_session(self, route):
+        broker = DocumentBroker(dict(SUBSCRIPTIONS))
         broker.submit("a", self.DOC)
         session = broker.session
         removed = [key for key in list(SUBSCRIPTIONS) if key != "names"]
@@ -285,9 +286,9 @@ class TestLiveChurn:
         assert result.matching_keys == ["names"]
 
     @pytest.mark.parametrize("mode", ["verdicts", "ids", "substream"])
-    def test_churn_across_delivery_modes(self, backend, mode):
+    def test_churn_across_delivery_modes(self, route, mode):
         from repro.streaming.delivery import SubstreamDelivery
-        kwargs = {"backend": backend}
+        kwargs = {}
         if mode == "verdicts":
             kwargs["matches_only"] = True
         elif mode == "substream":
@@ -301,8 +302,8 @@ class TestLiveChurn:
         if mode == "substream":
             assert b"<title>" in result["titles"].payload
 
-    def test_remove_then_readd_same_key(self, backend):
-        broker = DocumentBroker({"k": "/descendant::name"}, backend=backend)
+    def test_remove_then_readd_same_key(self, route):
+        broker = DocumentBroker({"k": "/descendant::name"})
         assert broker.submit("a", self.DOC)["k"].matched
         broker.unsubscribe("k")
         broker.subscribe("k", "/descendant::title")
@@ -312,13 +313,13 @@ class TestLiveChurn:
 
 
 class TestAccounting:
-    def test_failed_submit_leaves_aggregates_untouched(self, backend):
+    def test_failed_submit_leaves_aggregates_untouched(self, route):
         # A failed document's partial work — chunks fed, events consumed,
         # subtrees/bytes emitted — must not fold into the aggregates or the
         # history: nothing was served to anyone.
         import dataclasses
 
-        broker = DocumentBroker(SUBSCRIPTIONS, backend=backend)
+        broker = DocumentBroker(SUBSCRIPTIONS)
         good = to_xml(journal_document(journals=2, articles_per_journal=2,
                                        authors_per_article=2, seed=6),
                       indent=0)

@@ -25,9 +25,6 @@ from repro.xmlmodel.events import EndElement, StartElement, Text
 from repro.xmlmodel.serialize import escape_text, to_xml
 from repro.xmlmodel.stream_serialize import serialize_events
 
-BACKENDS = ("dfa", "expectations")
-
-
 def _catalogue() -> Document:
     return Document.from_tree(element(
         "catalog",
@@ -148,9 +145,8 @@ class TestSubtreeTee:
         assert tee.element_end(EndElement("a", 1)) == ()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestSubstreamEvaluation:
-    def test_payloads_equal_independent_subtree_serialization(self, backend):
+    def test_payloads_equal_independent_subtree_serialization(self, route):
         events = list(document_events(_catalogue()))
         index = SubscriptionIndex()
         index.add("//journal", key="journals")
@@ -159,9 +155,9 @@ class TestSubstreamEvaluation:
         index.add("//journal/@tier", key="tiers")
         index.add("/", key="whole")
         index.add("//missing", key="nobody")
-        result = index.evaluate(events, backend=backend,
+        result = index.evaluate(events,
                                 delivery=SubstreamDelivery())
-        plain = index.evaluate(events, backend=backend)
+        plain = index.evaluate(events)
         for sub in result:
             # Node ids are byte-for-byte the legacy answer...
             assert sub.node_ids == plain[sub.key].node_ids
@@ -173,25 +169,25 @@ class TestSubstreamEvaluation:
         assert result["authors"].payload in result["journals"].payload
         assert result["whole"].payload == serialize_events(events)
 
-    def test_node_id_mode_carries_no_payload_and_no_tee(self, backend):
+    def test_node_id_mode_carries_no_payload_and_no_tee(self, route):
         events = list(document_events(_catalogue()))
         index = SubscriptionIndex()
         index.add("//journal", key="journals")
-        matcher = index.matcher(backend=backend)
+        matcher = index.matcher()
         assert matcher._tee is None  # substream machinery never engaged
         result = matcher.process(events)
         assert result["journals"].payload is None
         assert result.stats.subtrees_emitted == 0
         assert result.stats.bytes_emitted == 0
 
-    def test_callback_mode_streams_in_close_order(self, backend):
+    def test_callback_mode_streams_in_close_order(self, route):
         events = list(document_events(_catalogue()))
         index = SubscriptionIndex()
         index.add("//journal", key="journals")
         index.add("//authors", key="authors")
         calls = []
         result = index.evaluate(
-            events, backend=backend,
+            events,
             delivery=SubstreamDelivery(
                 on_payload=lambda key, nid, data:
                 calls.append((key, nid, data))))
@@ -203,13 +199,13 @@ class TestSubstreamEvaluation:
         for key, node_id, data in calls:
             assert data == _subtree_bytes(events, node_id)
 
-    def test_deferred_condition_gates_emission(self, backend):
+    def test_deferred_condition_gates_emission(self, route):
         # [following::price] is undecidable when the title closes; the
         # capture must be held back and settled at end of stream.
         index = SubscriptionIndex()
         index.add("/descendant::title[following::price]", key="titles")
         with_price = list(document_events(_catalogue()))
-        result = index.evaluate(with_price, backend=backend,
+        result = index.evaluate(with_price,
                                 delivery=SubstreamDelivery())
         assert result["titles"].matched
         assert result["titles"].payload == _expected_payload(
@@ -217,18 +213,17 @@ class TestSubstreamEvaluation:
         without_price = list(document_events(Document.from_tree(
             element("catalog", element("journal",
                                        element("title", text("t")))))))
-        held = index.evaluate(without_price, backend=backend,
+        held = index.evaluate(without_price,
                               delivery=SubstreamDelivery())
         assert not held["titles"].matched
         assert held["titles"].payload == b""
 
-    def test_stats_and_registry_account_for_captures(self, backend):
+    def test_stats_and_registry_account_for_captures(self, route):
         events = list(document_events(_catalogue()))
         index = SubscriptionIndex()
         index.add("//journal", key="journals")
         index.add("//title", key="titles")
-        matcher = index.matcher(backend=backend,
-                                delivery=SubstreamDelivery())
+        matcher = index.matcher(delivery=SubstreamDelivery())
         result = matcher.process(events)
         emitted = sum(len(sub.node_ids) for sub in result)
         assert result.stats.subtrees_emitted == emitted
@@ -240,11 +235,10 @@ class TestSubstreamEvaluation:
         # Every capture window closed by end of document.
         assert matcher.registry_sizes()["open_capture_windows"] == 0
 
-    def test_session_reuse_resets_payload_buffers(self, backend):
+    def test_session_reuse_resets_payload_buffers(self, route):
         index = SubscriptionIndex()
         index.add("//title", key="titles")
-        matcher = index.matcher(backend=backend,
-                                delivery=SubstreamDelivery())
+        matcher = index.matcher(delivery=SubstreamDelivery())
         first = matcher.process(document_events(_catalogue()))
         assert first["titles"].payload
         matcher.reset()
@@ -277,21 +271,21 @@ class TestFlushMidCapture:
         subscriptions["wrap"] = "//wrap"
         return events, subscriptions
 
-    def _run(self, events, subscriptions, backend, cap=None):
+    def _run(self, events, subscriptions, cap=None):
         kwargs = {} if cap is None else {"dfa_transition_cap": cap}
         index = SubscriptionIndex(subscriptions, **kwargs)
-        return index.evaluate(events, backend=backend,
+        return index.evaluate(events,
                               delivery=SubstreamDelivery())
 
-    def test_payload_identical_across_forced_flushes(self):
+    def test_payload_identical_across_forced_flushes(self, forced_fallback):
         events, subscriptions = self._workload()
-        flushed = self._run(events, subscriptions, "dfa", cap=2)
+        flushed = self._run(events, subscriptions, cap=2)
         # The tiny cap really did force wholesale flushes mid-document,
         # i.e. while <wrap>'s capture region was open.
         assert flushed.stats.transition_cache_flushed > 0
-        for reference_backend, cap in (("dfa", None), ("expectations", None)):
-            reference = self._run(events, subscriptions,
-                                  reference_backend, cap=cap)
+        with forced_fallback():
+            fallback = self._run(events, subscriptions)
+        for reference in (self._run(events, subscriptions), fallback):
             assert reference.stats.transition_cache_flushed == 0
             assert flushed["wrap"].payload == reference["wrap"].payload
             for i in (0, self.N_TAGS // 2, self.N_TAGS - 1):
@@ -300,35 +294,31 @@ class TestFlushMidCapture:
 
     def test_payload_matches_independent_serialization(self):
         events, subscriptions = self._workload()
-        flushed = self._run(events, subscriptions, "dfa", cap=2)
+        flushed = self._run(events, subscriptions, cap=2)
         assert flushed["wrap"].payload == _expected_payload(
             events, flushed["wrap"].node_ids)
 
     def test_targeted_invalidation_mid_capture(self):
         # Live churn's targeted invalidation is the other epoch-bump
-        # source; an open capture must survive it just the same.  Pinned
-        # to the dfa backend: only the automaton has a cache to flush.
+        # source; an open capture must survive it just the same.
         events, subscriptions = self._workload()
         index = SubscriptionIndex(subscriptions)
-        baseline = index.evaluate(events, backend="dfa",
-                                  delivery=SubstreamDelivery())
+        baseline = index.evaluate(events, delivery=SubstreamDelivery())
         index.add_subscription("late", "//t0/inner")
         assert index.churn.targeted_flushes > 0
-        after = index.evaluate(events, backend="dfa",
-                               delivery=SubstreamDelivery())
+        after = index.evaluate(events, delivery=SubstreamDelivery())
         assert after["wrap"].payload == baseline["wrap"].payload
 
 
 class TestVerdictDelivery:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_equivalent_to_matches_only(self, backend):
+    def test_equivalent_to_matches_only(self, route):
         events = list(document_events(_catalogue()))
         index = SubscriptionIndex()
         index.add("//journal", key="journals")
         index.add("//missing", key="nobody")
-        via_delivery = index.evaluate(events, backend=backend,
+        via_delivery = index.evaluate(events,
                                       delivery=VerdictDelivery())
-        via_flag = index.evaluate(events, backend=backend, matches_only=True)
+        via_flag = index.evaluate(events, matches_only=True)
         for key in ("journals", "nobody"):
             assert via_delivery[key].matched == via_flag[key].matched
             assert via_delivery[key].node_ids == []

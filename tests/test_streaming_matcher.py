@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReverseAxisStreamingError, StreamingError
-from repro.streaming import stream_evaluate, stream_matches
+from repro.streaming import dom_evaluate, stream_evaluate, stream_matches
 from repro.streaming.matcher import StreamingMatcher
 from repro.xmlmodel.builder import document_events
 from repro.xmlmodel.parser import iter_events
@@ -93,27 +93,22 @@ class TestQualifiers:
         assert run("/descendant::title[self::node() = /descendant::name]",
                    figure1) == []
 
-    def test_root_string_value_in_value_joins(self):
+    def test_root_string_value_in_value_joins(self, route):
         # Regression: the streaming engine used to give the document root an
         # empty string value in value joins; like any node, its value is the
         # concatenation of all descendant text (finalized at end of stream),
         # matching the DOM baseline.
-        from repro.streaming.dom_baseline import dom_evaluate
         from repro.xmlmodel.document import Document, element, text
         doc = Document.from_tree(element("a", element("b", text("x"))))
         events = list(document_events(doc))
         query = '/descendant-or-self::node()[self::node() = "x"]'
         dom = dom_evaluate(query, events).node_ids
         assert dom == [0, 1, 2, 3]  # the root itself matches
-        for backend in ("expectations", "dfa"):
-            got = stream_evaluate(query, events, backend=backend).node_ids
-            assert got == dom, backend
+        assert stream_evaluate(query, events).node_ids == dom
         # "/" as a join operand likewise contributes the whole document text.
         operand = "//b[self::node() = /]"
         assert dom_evaluate(operand, events).node_ids == [2]
-        for backend in ("expectations", "dfa"):
-            assert stream_evaluate(operand, events,
-                                   backend=backend).node_ids == [2], backend
+        assert stream_evaluate(operand, events).node_ids == [2]
 
 
 class TestInputsAndErrors:
@@ -158,36 +153,30 @@ class TestDispatchIndex:
     )
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_linear_scan_reference_agrees(self, figure1, query):
+    def test_dom_agrees(self, figure1, query, route):
         events = list(document_events(figure1))
-        indexed = StreamingMatcher(parse_xpath(query))
-        linear = StreamingMatcher(parse_xpath(query), indexed=False)
-        assert indexed.process(events) == linear.process(events)
+        matcher = StreamingMatcher(parse_xpath(query))
+        assert (matcher.process(events)
+                == dom_evaluate(parse_xpath(query), events).node_ids)
 
-    def test_index_checks_no_more_than_a_linear_scan(self, catalogue):
-        events = list(document_events(catalogue))
-        matcher = StreamingMatcher(
-            parse_xpath("/descendant::journal/child::editor"),
-            backend="expectations")
-        matcher.process(events)
-        stats = matcher.stats
-        assert 0 < stats.expectations_checked <= stats.linear_scan_checks
-
-    def test_named_tests_skip_unrelated_tags(self, catalogue):
+    def test_named_tests_skip_unrelated_tags(self, catalogue,
+                                             forced_fallback):
         # A single named-test step is only ever checked against elements of
         # that tag: one check per matching start-element.
         events = list(document_events(catalogue))
-        matcher = StreamingMatcher(parse_xpath("/descendant::price"),
-                                   backend="expectations")
+        with forced_fallback():
+            matcher = StreamingMatcher(parse_xpath("/descendant::price"))
         result = matcher.process(events)
-        assert matcher.stats.expectations_checked == len(result)
+        assert matcher.stats.expectations_checked == len(result) > 0
 
-    def test_child_expectations_expire_with_their_anchor(self, figure1):
+    def test_child_expectations_expire_with_their_anchor(self, figure1,
+                                                         forced_fallback):
         # /child::journal/child::authors/child::name: once </authors> is
         # seen, the child::name expectation anchored at it must be gone even
         # though the stream continues.
-        matcher = StreamingMatcher(
-            parse_xpath("/child::journal/child::authors/child::name"))
+        with forced_fallback():
+            matcher = StreamingMatcher(
+                parse_xpath("/child::journal/child::authors/child::name"))
         events = list(document_events(figure1))
         from repro.xmlmodel.events import EndElement
         authors_end = next(index for index, event in enumerate(events)

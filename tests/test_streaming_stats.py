@@ -67,11 +67,13 @@ class TestCountersDuringARun:
         matcher.process(document_events(document))
         assert matcher.stats.max_depth == 3
 
-    def test_max_live_expectations_is_a_high_water_mark(self):
+    def test_max_live_expectations_is_a_high_water_mark(self,
+                                                        forced_fallback):
         document = Document.from_tree(
             element("a", element("b"), element("b"), element("b")))
-        matcher = StreamingMatcher(parse_xpath("/descendant::b/child::c"),
-                                   backend="expectations")
+        with forced_fallback():
+            matcher = StreamingMatcher(
+                parse_xpath("/descendant::b/child::c"))
         matcher.process(document_events(document))
         # After the stream all expectations are discarded, but the high-water
         # mark keeps the peak.
@@ -108,7 +110,7 @@ class TestCountersDuringARun:
 
 
 def assert_internally_consistent(stats, total_events=None):
-    """Invariants every finished run must satisfy, whatever the backend."""
+    """Invariants every finished run must satisfy, on either route."""
     row = stats.as_row()
     for name, value in row.items():
         assert value >= 0, (name, row)
@@ -117,19 +119,15 @@ def assert_internally_consistent(stats, total_events=None):
     assert stats.dfa_states_materialized <= max(
         1, stats.transition_cache_lookups)
     assert stats.max_live_expectations <= stats.expectations_created
-    # Indexed dispatch consults no more expectations than a linear scan.
-    assert stats.expectations_checked <= stats.linear_scan_checks
     if total_events is not None:
         assert stats.events_skipped <= total_events
         assert stats.events + stats.events_skipped == total_events
 
 
 class TestStatsInvariants:
-    """Counter consistency on hand-built streams, across both backends.
-
-    ``tests/test_streaming_stats.py`` historically exercised only the
-    expectation backend; the ``backend`` fixture closes that gap.
-    """
+    """Counter consistency on hand-built streams, on both routes (the
+    ``route`` fixture: default, and every member forced onto the fallback
+    trie)."""
 
     def _document(self):
         return Document.from_tree(
@@ -149,46 +147,36 @@ class TestStatsInvariants:
         "missing": "/descendant::nosuchtag",
     }
 
-    def test_full_run_counters_are_consistent(self, backend):
+    def test_full_run_counters_are_consistent(self, route):
         events = list(document_events(self._document()))
         index = SubscriptionIndex(self.QUERIES)
-        result = index.evaluate(events, backend=backend)
+        result = index.evaluate(events)
         assert_internally_consistent(result.stats, total_events=len(events))
         assert result.stats.events == len(events)
 
-    def test_verdict_run_counters_are_consistent(self, backend):
+    def test_verdict_run_counters_are_consistent(self, route):
         events = list(document_events(self._document()))
         index = SubscriptionIndex(self.QUERIES)
-        result = index.evaluate(events, matches_only=True, backend=backend)
+        result = index.evaluate(events, matches_only=True)
         assert_internally_consistent(result.stats, total_events=len(events))
 
-    def test_single_query_counters_are_consistent(self, backend):
+    def test_single_query_counters_are_consistent(self, route):
         events = list(document_events(self._document()))
         for query in self.QUERIES.values():
-            matcher = StreamingMatcher(parse_xpath(query), backend=backend)
+            matcher = StreamingMatcher(parse_xpath(query))
             matcher.process(events)
             assert_internally_consistent(matcher.stats,
                                          total_events=len(events))
 
-    def test_dfa_counters_stay_zero_on_the_expectation_backend(self):
-        events = list(document_events(self._document()))
-        stats = SubscriptionIndex(self.QUERIES).evaluate(
-            events, backend="expectations").stats
-        assert stats.dfa_states_materialized == 0
-        assert stats.transition_cache_lookups == 0
-        assert stats.transition_cache_hits == 0
-        assert stats.transition_cache_evictions == 0
-
-    def test_attribute_ids_never_collide_with_element_ids(self, backend):
+    def test_attribute_ids_never_collide_with_element_ids(self, route):
         # Attribute nodes claim the positions right after their owner; the
         # id spaces reported for element, text and attribute selections must
         # be pairwise disjoint and dense.
         document = self._document()
         events = list(document_events(document))
-        elements = stream_evaluate("//*", events, backend=backend).node_ids
-        attributes = stream_evaluate("//@*", events,
-                                     backend=backend).node_ids
-        texts = stream_evaluate("//text()", events, backend=backend).node_ids
+        elements = stream_evaluate("//*", events).node_ids
+        attributes = stream_evaluate("//@*", events).node_ids
+        texts = stream_evaluate("//text()", events).node_ids
         assert not set(elements) & set(attributes)
         assert not set(elements) & set(texts)
         assert not set(attributes) & set(texts)

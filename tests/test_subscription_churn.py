@@ -7,11 +7,6 @@ states, and the warmed transitions of untouched states all survive), a
 ``remove_subscription`` costs no recompilation at all, and only crossing
 ``vacuum_ratio`` triggers the deferred rebuild.  The new
 :class:`~repro.streaming.stats.ChurnStats` counters are the witness.
-
-Tests that assert automaton internals (targeted flushes, warm transition
-caches, ``describe()``) pin ``backend="dfa"`` explicitly so the suite also
-passes under ``REPRO_STREAMING_BACKEND=expectations`` — the expectation
-engine has no cache to flush, so churn there is just a version bump.
 """
 
 import pytest
@@ -36,7 +31,7 @@ class TestIncrementalAdd:
     def test_add_triggers_targeted_not_full_invalidation(self):
         index = _index()
         events = _document()
-        index.evaluate(events, backend="dfa")  # warm the automaton
+        index.evaluate(events)  # warm the automaton
         automaton = index._automaton_parts[0]
         for i in range(5):
             index.add_subscription(f"extra{i}", f"//t{i}/inner")
@@ -51,12 +46,12 @@ class TestIncrementalAdd:
     def test_warm_transitions_of_untouched_states_survive(self):
         index = _index()
         events = _document()
-        index.evaluate(events, backend="dfa")
-        warm = index.evaluate(events, backend="dfa")
+        index.evaluate(events)
+        warm = index.evaluate(events)
         assert warm.stats.transition_cache_hits == \
             warm.stats.transition_cache_lookups
         index.add_subscription("extra", "//t0/inner")
-        after = index.evaluate(events, backend="dfa")
+        after = index.evaluate(events)
         # Only the touched fragment's states recompute; the bulk of the
         # table stays warm (strictly more hits than cold, near-warm total).
         assert after.stats.transition_cache_hits \
@@ -89,7 +84,7 @@ class TestRetirementAndVacuum:
     def test_remove_below_ratio_does_not_recompile(self):
         index = _index()
         events = _document()
-        index.evaluate(events, backend="dfa")
+        index.evaluate(events)
         automaton = index._automaton_parts[0]
         removed = int(N * index._vacuum_ratio) - 1
         for i in range(removed):
@@ -178,11 +173,10 @@ class TestLiveSessions:
         follow_up = matcher.process(events)
         assert follow_up["late"].matched
 
-    @pytest.mark.parametrize("backend", ["dfa", "expectations"])
-    def test_matches_only_sessions_follow_churn(self, backend):
+    def test_matches_only_sessions_follow_churn(self, route):
         index = _index()
         events = _document()
-        matcher = index.matcher(matches_only=True, backend=backend)
+        matcher = index.matcher(matches_only=True)
         matcher.process(events)
         index.add_subscription("late", "//t2")
         index.remove_subscription("s3")
@@ -210,7 +204,7 @@ class TestChurnStatsPlumbing:
 
     def test_describe_reports_invalidations(self):
         index = _index()
-        index.evaluate(_document(), backend="dfa")
+        index.evaluate(_document())
         index.add_subscription("extra", "//t0/inner")
         description = index._automaton_parts[0].describe()
         assert description["targeted_invalidations"] == 1
